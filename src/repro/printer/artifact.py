@@ -245,7 +245,7 @@ def unpack_artifact(packed: Dict[str, object]) -> "PrintedArtifact":
     shape = packed["shape"]
     count = int(np.prod(shape))
     grids = {
-        name: np.unpackbits(bits, count=count).reshape(shape).astype(bool)
+        name: np.unpackbits(bits, count=count).reshape(shape).view(bool)
         for name, bits in packed["grids"].items()
     }
     return PrintedArtifact(

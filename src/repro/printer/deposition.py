@@ -134,25 +134,27 @@ class DepositionSimulator:
 def _unique_layers(stack: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Indices of first-occurrence layers plus the layer -> unique map.
 
-    Vectorized (ISSUE 7 satellite): layers are bit-packed to compact
-    row keys and deduplicated with one ``np.unique`` call instead of a
-    Python loop hashing ``tobytes()`` per layer.  ``np.unique`` returns
-    lexicographically sorted groups, so its outputs are re-ordered to
-    the first-occurrence order the scalar loop
-    (:func:`_unique_layers_loop`, kept as the oracle) produces.
+    Each layer is bit-packed to one row of bytes (8x shorter than the
+    bool layer) and a dict maps the row's bytes to the index of its
+    first occurrence - exact, and the same ``(first, inverse)`` as the
+    scalar oracle :func:`_unique_layers_loop`.  ``np.unique(axis=0)`` is
+    not used: it views each row as a structured dtype with one field per
+    byte, and on real layer widths (~110 KB rows) that sort costs ~1 s
+    per stack where hashing the rows costs milliseconds.
     """
     nz = stack.shape[0]
     keys = np.packbits(
         np.ascontiguousarray(stack, dtype=bool).reshape(nz, -1), axis=1
     )
-    _, first_sorted, inverse_sorted = np.unique(
-        keys, axis=0, return_index=True, return_inverse=True
-    )
-    order = np.argsort(first_sorted, kind="stable")
-    first = first_sorted[order]
-    rank = np.empty(order.shape[0], dtype=np.intp)
-    rank[order] = np.arange(order.shape[0], dtype=np.intp)
-    return first.astype(np.intp), rank[inverse_sorted.reshape(-1)]
+    seen: Dict[bytes, int] = {}
+    first = []
+    inverse = np.empty(nz, dtype=np.intp)
+    for iz in range(nz):
+        idx = seen.setdefault(keys[iz].tobytes(), len(first))
+        if idx == len(first):
+            first.append(iz)
+        inverse[iz] = idx
+    return np.asarray(first, dtype=np.intp), inverse
 
 
 def _unique_layers_loop(stack: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -166,23 +166,24 @@ def chain_segments(
     if not segments:
         return [], []
 
-    # Snap endpoints onto a grid so shared vertices hash identically.
-    def key(p: np.ndarray) -> Tuple[int, int]:
-        return (int(round(p[0] / _CHAIN_TOL)), int(round(p[1] / _CHAIN_TOL)))
-
-    # Batch the per-endpoint snapping and sliver detection: np.round
-    # applies the same round-half-even rule as the scalar key().
+    # Snap endpoints onto a grid so shared vertices hash identically
+    # (round half to even), and detect zero-length slivers, in one batch.
+    # A chain tip is always some segment's endpoint, so its key is read
+    # from here rather than re-rounded.
     seg_arr = np.asarray(segments, dtype=float)  # (n, 2, 2)
     lengths = np.linalg.norm(seg_arr[:, 1] - seg_arr[:, 0], axis=1)
-    seg_keys = np.round(seg_arr / _CHAIN_TOL).astype(np.int64).tolist()
+    seg_keys = [
+        (tuple(a_key), tuple(b_key))
+        for a_key, b_key in np.round(seg_arr / _CHAIN_TOL).astype(np.int64).tolist()
+    ]
 
     endpoint_map: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
     for si in range(len(segments)):
         if lengths[si] < _CHAIN_TOL:
             continue  # zero-length sliver
         a_key, b_key = seg_keys[si]
-        endpoint_map.setdefault(tuple(a_key), []).append((si, 0))
-        endpoint_map.setdefault(tuple(b_key), []).append((si, 1))
+        endpoint_map.setdefault(a_key, []).append((si, 0))
+        endpoint_map.setdefault(b_key, []).append((si, 1))
 
     used = [False] * len(segments)
     contours: List[Polygon2] = []
@@ -199,15 +200,16 @@ def chain_segments(
         chain = [a.copy(), b.copy()]
         # Extend forward from the tail, then (if open) backward from head.
         for direction in (1, 0):
+            tip_key = seg_keys[start][direction]
             while True:
-                tip = chain[-1] if direction == 1 else chain[0]
-                nxt = _take_continuation(endpoint_map, segments, used, tip, key)
+                nxt = _take_continuation(endpoint_map, segments, seg_keys, used, tip_key)
                 if nxt is None:
                     break
+                point, tip_key = nxt
                 if direction == 1:
-                    chain.append(nxt)
+                    chain.append(point)
                 else:
-                    chain.insert(0, nxt)
+                    chain.insert(0, point)
                 if np.linalg.norm(chain[-1] - chain[0]) < _CHAIN_TOL and len(chain) > 3:
                     break
             if np.linalg.norm(chain[-1] - chain[0]) < _CHAIN_TOL and len(chain) > 3:
@@ -225,14 +227,19 @@ def chain_segments(
     return contours, open_paths
 
 
-def _take_continuation(endpoint_map, segments, used, tip: np.ndarray, key) -> Optional[np.ndarray]:
-    """Pop an unused segment incident at ``tip``; return its far endpoint."""
-    for si, end in endpoint_map.get(key(tip), []):
+def _take_continuation(
+    endpoint_map, segments, seg_keys, used, tip_key: Tuple[int, int]
+) -> Optional[Tuple[np.ndarray, Tuple[int, int]]]:
+    """Pop an unused segment incident at ``tip_key``.
+
+    Returns the segment's far endpoint and that endpoint's snapped key
+    (the next chain tip), or ``None`` when no unused segment meets it.
+    """
+    for si, end in endpoint_map.get(tip_key, []):
         if used[si]:
             continue
-        a, b = segments[si]
         used[si] = True
-        return (b if end == 0 else a).copy()
+        return segments[si][1 - end].copy(), seg_keys[si][1 - end]
     return None
 
 

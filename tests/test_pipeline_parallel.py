@@ -244,8 +244,13 @@ class TestArtifactCodec:
         artifact = split_coarse_xy.artifact
         restored = unpack_artifact(pack_artifact(artifact))
         for grid in ("model", "support", "weak", "voids"):
-            assert np.array_equal(getattr(restored, grid), getattr(artifact, grid))
-            assert getattr(restored, grid).dtype == bool
+            got = getattr(restored, grid)
+            assert np.array_equal(got, getattr(artifact, grid))
+            assert got.dtype == bool
+            assert got.shape == artifact.model.shape
+            # The decode is a bool view of unpacked bits: every byte
+            # must be a canonical 0/1 so bool arithmetic stays exact.
+            assert got.view(np.uint8).max(initial=0) <= 1
         assert restored.model_volume_mm3 == artifact.model_volume_mm3
         assert restored.void_volume_mm3 == artifact.void_volume_mm3
         assert restored.weight_g == artifact.weight_g

@@ -113,7 +113,7 @@ class TestSupport:
 
 
 class TestUniqueLayers:
-    """Vectorized layer dedup vs the scalar oracle (ISSUE 7)."""
+    """Hash-keyed layer dedup vs the scalar oracle."""
 
     def test_matches_loop_oracle_on_random_stacks(self):
         from repro.printer.deposition import (
@@ -136,6 +136,26 @@ class TestUniqueLayers:
             # Reconstruction sanity: indexing uniques by inverse
             # restores the stack.
             np.testing.assert_array_equal(stack[first][inverse], stack)
+
+        # Benchmark-shaped stacks: packed rows of 20-110 KB, where a
+        # sort-based dedup is orders of magnitude slower than hashing.
+        # A bar printed flat: one cross-section repeated between
+        # distinct bottom and top layers, the top differing from it
+        # in a single voxel at the very end of the row.
+        layer = rng.random((385, 2304)) < 0.5
+        top = layer.copy()
+        top[-1, -1] = not top[-1, -1]
+        flat = np.stack([~layer] + [layer] * 16 + [top])
+        # A bar printed upright: ~60 % unique layers, repeats shuffled in.
+        pool = rng.random((64, 68, 2304)) < 0.5
+        upright = pool[rng.permutation(np.r_[np.arange(64), rng.integers(0, 64, 43)])]
+        for stack, n_unique in ((flat, 3), (upright, 64)):
+            first, inverse = _unique_layers(stack)
+            first_ref, inverse_ref = _unique_layers_loop(stack)
+            np.testing.assert_array_equal(first, first_ref)
+            np.testing.assert_array_equal(inverse, inverse_ref)
+            assert first.dtype == inverse.dtype == np.intp
+            assert len(first) == n_unique
 
     def test_first_occurrence_order(self):
         from repro.printer.deposition import _unique_layers
