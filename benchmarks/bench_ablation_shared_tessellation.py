@@ -6,13 +6,9 @@ vertex-placement strategy removes the mismatch - and with it the
 x-y defect signal - demonstrating the mechanism is tessellation
 independence, not the split itself.
 
-A second ablation targets the *scheduler's* sharing: a cold sweep over
-the same model with and without stage-granular node dedup.  With dedup
-the merged execution graph schedules orientation-independent stages
-once per resolution fleet-wide; without it (the legacy cell-granular
-plan) every cell gets its own node and only the shared cache prevents
-recompute.  Artifacts must be bit-identical either way - the dedup is
-purely a scheduling property.
+A companion check targets the *scheduler's* sharing: a cold sweep over
+the same model schedules the orientation-independent stages once per
+resolution, proved by the fleet scheduler's node counters.
 """
 
 import time
@@ -66,30 +62,18 @@ def run(split_bar_unused=None):
     return rows
 
 
-def run_scheduler_ablation():
-    """Cold sweep wall-clock with and without stage-granular dedup."""
-    model = build(False)
-    rows = []
-    for dedupe in (True, False):
-        start = time.perf_counter()
-        sweep_report = ParallelSweep(dedupe=dedupe).run(
-            model, SWEEP_RESOLUTIONS, SWEEP_ORIENTATIONS
-        )
-        rows.append(
-            {
-                "dedupe": dedupe,
-                "wall_s": time.perf_counter() - start,
-                "fingerprints": [c.fingerprint for c in sweep_report.cells],
-                "scheduler": sweep_report.scheduler,
-                "stats": sweep_report.stats,
-            }
-        )
-    return rows
+def run_scheduler_sweep():
+    """One cold sweep: wall-clock and node counters."""
+    start = time.perf_counter()
+    sweep_report = ParallelSweep().run(
+        build(False), SWEEP_RESOLUTIONS, SWEEP_ORIENTATIONS
+    )
+    return time.perf_counter() - start, sweep_report.scheduler
 
 
 def test_ablation_shared_tessellation(benchmark, report):
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    sched_rows = run_scheduler_ablation()
+    wall_s, totals = run_scheduler_sweep()
 
     lines = [
         f"{'tessellation':14s} {'max gap (mm)':>13s} {'bonded':>8s} "
@@ -103,17 +87,14 @@ def test_ablation_shared_tessellation(benchmark, report):
     lines.append("")
     lines.append(
         f"cold {len(SWEEP_RESOLUTIONS)}x{len(SWEEP_ORIENTATIONS)} sweep, "
-        "stage-granular scheduler:"
+        "fleet scheduler:"
     )
-    for r in sched_rows:
-        mode = "dedup on " if r["dedupe"] else "dedup off"
-        totals = r["scheduler"]
-        lines.append(
-            f"  {mode}: {r['wall_s']:6.2f} s  "
-            f"(scheduled {totals.total_scheduled}, "
-            f"deduped {totals.total_deduped}, "
-            f"executed {totals.total_executed})"
-        )
+    lines.append(
+        f"  {wall_s:6.2f} s  "
+        f"(scheduled {totals.total_scheduled}, "
+        f"deduped {totals.total_deduped}, "
+        f"executed {totals.total_executed})"
+    )
     report("Ablation shared tessellation", lines)
 
     independent, shared = rows
@@ -124,19 +105,8 @@ def test_ablation_shared_tessellation(benchmark, report):
     assert shared["max_gap_mm"] < 1e-6
     assert not shared["prints_defect_xy"]
 
-    with_dedupe, without_dedupe = sched_rows
-    # Scheduling granularity never changes the artifacts...
-    assert with_dedupe["fingerprints"] == without_dedupe["fingerprints"]
-    # ...but with dedup the shared stages execute once per resolution
-    # fleet-wide, while the ablation executes one node per cell and
-    # leans on the cache (legacy accounting: misses per resolution,
-    # hits for the rest).
+    # The shared stages execute once per resolution, not once per cell.
     n_cells = len(SWEEP_RESOLUTIONS) * len(SWEEP_ORIENTATIONS)
-    tess = with_dedupe["scheduler"].stages["tessellate"]
+    tess = totals.stages["tessellate"]
     assert tess.scheduled == tess.executed == len(SWEEP_RESOLUTIONS)
     assert tess.deduped == n_cells - len(SWEEP_RESOLUTIONS)
-    ablated = without_dedupe["scheduler"].stages["tessellate"]
-    assert ablated.scheduled == ablated.executed == n_cells
-    assert without_dedupe["stats"].stages["tessellate"].hits == (
-        n_cells - len(SWEEP_RESOLUTIONS)
-    )

@@ -76,9 +76,9 @@ def _search(protected, chain):
     return time.perf_counter() - start, result
 
 
-def _scheduler_sweep(protected, dedupe):
-    """One cold sweep through the stage-granular graph scheduler."""
-    sweep = ParallelSweep(dedupe=dedupe)
+def _scheduler_sweep(protected):
+    """One cold serial sweep through the fleet scheduler."""
+    sweep = ParallelSweep()
     start = time.perf_counter()
     report = sweep.run(
         protected.model, RESOLUTIONS, ORIENTATIONS, assess=assess_print
@@ -100,8 +100,8 @@ def run():
     protected = Obfuscator(seed=7).protect_tensile_bar()
 
     cold_times, warm_times, hot_times = [], [], []
-    sched_times, nodedupe_times = [], []
-    cold = warm = hot = sched = nodedupe = None
+    sched_times = []
+    cold = warm = hot = sched = None
     for _ in range(ROUNDS):
         gc.collect()
         cold_s, cold = _search(protected, ProcessChain(cache=StageCache(enabled=False)))
@@ -119,23 +119,11 @@ def run():
         # Caching must not change a single verdict.
         assert warm.summary_rows() == cold.summary_rows() == hot.summary_rows()
 
-        # The stage-granular scheduler, cold, with and without
-        # fleet-wide node dedup (the dedupe=False ablation replans the
-        # legacy one-node-per-cell schedule; the shared cache still
-        # deduplicates the compute, so only scheduling differs).
+        # The stage-granular fleet scheduler, cold: shared nodes are
+        # scheduled once, and no verdict may differ from the search.
         gc.collect()
-        sched_s, sched = _scheduler_sweep(protected, dedupe=True)
+        sched_s, sched = _scheduler_sweep(protected)
         sched_times.append(sched_s)
-
-        gc.collect()
-        nodedupe_s, nodedupe = _scheduler_sweep(protected, dedupe=False)
-        nodedupe_times.append(nodedupe_s)
-
-        # Scheduling granularity must not change a single artifact.
-        assert (
-            [c.fingerprint for c in sched.cells]
-            == [c.fingerprint for c in nodedupe.cells]
-        )
         assert (
             [(c.assessment.grade, c.assessment.score) for c in sched.cells]
             == [(a.report.grade, a.report.score) for a in warm.attempts]
@@ -165,14 +153,12 @@ def run():
         "warm_s": min(warm_times),
         "hot_s": min(hot_times),
         "sched_s": min(sched_times),
-        "nodedupe_s": min(nodedupe_times),
         "rounds": ROUNDS,
         "warm_stats": warm.cache_stats,
         "hot_stats": hot.cache_stats,
         "warm_report": warm.report,
         "hot_report": hot.report,
         "sched_report": sched,
-        "nodedupe_report": nodedupe,
     }
 
 
@@ -199,7 +185,6 @@ def test_pipeline_cache_speedup(benchmark, report):
     for mode, doc in manifests.items():
         assert validate_manifest(doc) == [], mode
     sched = r["sched_report"]
-    nodedupe = r["nodedupe_report"]
     pcold, pwarm = r["parallel_cold_report"], r["parallel_warm_report"]
     lines = [
         f"grid: {len(RESOLUTIONS)} resolutions x {len(ORIENTATIONS)} orientations"
@@ -207,8 +192,7 @@ def test_pipeline_cache_speedup(benchmark, report):
         f"cold (no cache)     : {r['cold_s']:8.2f} s",
         f"warm (shared cache) : {r['warm_s']:8.2f} s   speedup {warm_speedup:5.2f}x",
         f"hot  (repeat search): {r['hot_s']:8.2f} s   speedup {hot_speedup:5.2f}x",
-        f"graph scheduler     : {r['sched_s']:8.2f} s   (cold, stage-granular dedup)",
-        f"graph, no dedup     : {r['nodedupe_s']:8.2f} s   (cold, one node per cell)",
+        f"fleet scheduler     : {r['sched_s']:8.2f} s   (cold, stage-granular dedup)",
         f"jobs=2, cold disk   : {r['parallel_cold_s']:8.2f} s   (handle-passing workers)",
         f"jobs=2, warm disk   : {r['parallel_warm_s']:8.2f} s   (mmap segment reads)",
         "",
@@ -221,7 +205,7 @@ def test_pipeline_cache_speedup(benchmark, report):
         "warm search per-stage counters:",
         *r["warm_stats"].render(),
         "",
-        "scheduler node counters (dedupe on):",
+        "scheduler node counters:",
         *sched.scheduler.render(),
     ]
     report(
@@ -246,9 +230,7 @@ def test_pipeline_cache_speedup(benchmark, report):
             "warm_timings": manifests["warm"]["timings"],
             "hot_timings": manifests["hot"]["timings"],
             "scheduler_dedupe_s": r["sched_s"],
-            "scheduler_nodedupe_s": r["nodedupe_s"],
             "scheduler_dedupe": sched.scheduler.to_dict(),
-            "scheduler_nodedupe": nodedupe.scheduler.to_dict(),
             # Zero-copy data plane: jobs=2 over a shared disk cache,
             # cold (populate) then warm (all-hits), with the worker-pipe
             # byte ledger and the mmap/pickle read split of each leg.
@@ -288,15 +270,6 @@ def test_pipeline_cache_speedup(benchmark, report):
         assert sched_stages[stage].requested == n_cells
         assert sched_stages[stage].scheduled == len(RESOLUTIONS)
         assert sched_stages[stage].executed == len(RESOLUTIONS)
-    # The ablation plans one node per cell; the shared cache still
-    # deduplicates the compute, reproducing the legacy accounting.
-    ablation = nodedupe.scheduler.stages["tessellate"]
-    assert ablation.scheduled == n_cells and ablation.deduped == 0
-    assert nodedupe.stats.stages["tessellate"].misses == len(RESOLUTIONS)
-    assert (
-        nodedupe.stats.stages["tessellate"].hits
-        == n_cells - len(RESOLUTIONS)
-    )
     # Handle-passing: every worker task carried a model digest, never
     # the model, and no task ever shipped a voxel grid over the pipe.
     for leg in (pcold, pwarm):

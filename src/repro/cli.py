@@ -137,13 +137,6 @@ def _sweep_executor_parent() -> argparse.ArgumentParser:
         "recovery); requires --journal or --cache-dir",
     )
     parent.add_argument(
-        "--no-dedupe",
-        action="store_true",
-        help="plan one node per cell per stage instead of scheduling "
-        "shared upstream stages once fleet-wide (scheduler ablation "
-        "baseline; results are identical)",
-    )
-    parent.add_argument(
         "--shm",
         action="store_true",
         help="share cache .npy segments between workers through POSIX "
@@ -240,7 +233,7 @@ def _write_sweep_manifest(
         "cell_timeout_s": args.cell_timeout,
         "keep_going": args.keep_going,
         "resume": args.resume,
-        "dedupe": not args.no_dedupe,
+        "dedupe": True,
         "shm": bool(getattr(args, "shm", False)),
     }
     config.update(extra_config or {})
@@ -544,7 +537,6 @@ def _cmd_attack(args) -> int:
         keep_going=args.keep_going,
         journal_path=journal,
         resume=args.resume,
-        dedupe=not args.no_dedupe,
     )
     tracer = _install_observability(args)
     try:
@@ -623,7 +615,6 @@ def _cmd_sweep(args) -> int:
         keep_going=args.keep_going,
         journal_path=journal,
         resume=args.resume,
-        dedupe=not args.no_dedupe,
     )
     tracer = _install_observability(args)
     try:
@@ -714,9 +705,6 @@ def _cmd_serve(args) -> int:
                   f"positive weight, got {spec!r}", file=sys.stderr)
             return 2
         tenant_weights[tenant] = parsed
-    if args.no_dedupe:
-        print("note: the fleet scheduler always dedupes shared nodes; "
-              "--no-dedupe only affects the sweep command")
     cache_dir, _journal, retry = validated
     tmp = None
     if cache_dir is None:

@@ -142,14 +142,6 @@ class CounterfeiterSimulator:
         Checkpoint file for crash-resumable searches; ``resume`` skips
         cells whose journal record is intact.  Searches with a journal
         always run through the sweep executor, whatever ``jobs`` is.
-    pool:
-        A shared :class:`~repro.pipeline.WorkerPool` to lease workers
-        from; long-lived callers (the job service) pass one so repeat
-        searches hit warm workers.  Implies the sweep executor.
-    force_executor:
-        Route even ``jobs=1`` searches through the sweep executor
-        (manifests, journals and scheduler counters all come from one
-        code path - what the job service wants for every job).
     """
 
     def __init__(
@@ -165,9 +157,6 @@ class CounterfeiterSimulator:
         keep_going: bool = True,
         journal_path: Optional[str] = None,
         resume: bool = False,
-        dedupe: bool = True,
-        pool=None,
-        force_executor: bool = False,
     ):
         if jobs < 1:
             raise PipelineConfigError("jobs must be >= 1")
@@ -182,22 +171,10 @@ class CounterfeiterSimulator:
         self.keep_going = keep_going
         self.journal_path = journal_path
         self.resume = resume
-        self.dedupe = dedupe
-        self.pool = pool
-        self.force_executor = force_executor
 
     def attack(self, protected: ProtectedModel) -> AttackResult:
         """Print the stolen model under every setting combination."""
-        if (
-            self.jobs > 1
-            or self.journal_path is not None
-            or self.resume
-            or not self.dedupe
-            or self.pool is not None
-            or self.force_executor
-        ):
-            # The dedupe=False ablation is a scheduler property, so it
-            # always routes through the sweep executor.
+        if self.jobs > 1 or self.journal_path is not None or self.resume:
             return self._attack_sweep(protected)
         return self._attack_serial(protected)
 
@@ -248,8 +225,6 @@ class CounterfeiterSimulator:
             keep_going=self.keep_going,
             journal_path=self.journal_path,
             resume=self.resume,
-            dedupe=self.dedupe,
-            pool=self.pool,
         )
         report = sweep.run(
             protected.model, self.resolutions, self.orientations, assess=assess_print

@@ -4,10 +4,10 @@ The substrate behind :class:`~repro.printer.job.PrintJob`, the
 counterfeiter grid search and the ``sweep`` CLI: the paper's Fig. 1
 chain decomposed into pure, individually cached stages, declared as a
 typed :class:`StageGraph` (artifact contracts, explicit dependencies)
-and executed - for sweeps - by the stage-granular
-:class:`GraphScheduler`, which merges all grid cells into one
-:class:`ExecutionGraph` so shared upstream nodes run exactly once
-fleet-wide.
+and executed - for sweeps - by the one :class:`FleetScheduler`, which
+merges every grid cell of every admitted job into one
+``(stage, content digest)`` node set so shared upstream nodes run
+exactly once.  A :class:`ParallelSweep` is a fleet of one job.
 
 Note the name collision with :class:`repro.supplychain.chain.ProcessChain`
 (the Fig. 1 *risk ledger* walkthrough): that class narrates the chain
@@ -25,12 +25,7 @@ from repro.pipeline.cache import (
 from repro.pipeline.chain import ChainArtifacts, ChainContext, ProcessChain
 from repro.pipeline.disk import ROOTS_STAGE, DiskStageCache
 from repro.pipeline.fleet import FleetJob, FleetScheduler
-from repro.pipeline.graph import (
-    ExecutionGraph,
-    SchedulerStats,
-    StageGraph,
-    StageGraphError,
-)
+from repro.pipeline.graph import SchedulerStats, StageGraph, StageGraphError
 from repro.pipeline.journal import SweepJournal
 from repro.pipeline.parallel import (
     ParallelSweep,
@@ -55,7 +50,7 @@ from repro.pipeline.resilience import (
     StageError,
     time_limit,
 )
-from repro.pipeline.scheduler import ChainConfig, GraphScheduler, WorkerPool
+from repro.pipeline.scheduler import ChainConfig, WorkerPool
 from repro.pipeline.stage import ArtifactContract, Stage, StageExecution
 
 __all__ = [
@@ -67,10 +62,8 @@ __all__ = [
     "ChainConfig",
     "ChainContext",
     "DiskStageCache",
-    "ExecutionGraph",
     "FleetJob",
     "FleetScheduler",
-    "GraphScheduler",
     "MeshValidationError",
     "NO_RETRY",
     "ParallelSweep",

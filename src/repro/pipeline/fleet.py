@@ -1,17 +1,13 @@
-"""Cross-job fleet scheduling: many sweeps merged into one node set.
+"""The one scheduler: many sweep jobs merged into one node set.
 
-:class:`~repro.pipeline.scheduler.GraphScheduler` merges the N x M
-cells of *one* sweep into a deduplicated execution graph.  The job
-service, however, runs many sweeps from many tenants, and overlapping
-submissions - two tenants grid-searching the same model at different
-orientations - still re-tessellated and re-resolved everything per job
-because each job planned its own graph.  :class:`FleetScheduler` lifts
-the merge one level up (ISSUE 10 tentpole): jobs are *admitted
-incrementally* into one fleet-wide node index keyed by
-``(stage name, content digest)``, so a node claimed by several jobs -
-even jobs submitted by different tenants while the fleet is already
-running - executes exactly once, with its result fanned out to every
-consuming job.
+Every sweep runs here.  A :class:`~repro.pipeline.parallel.ParallelSweep`
+is a fleet of one job; the job service admits many jobs from many
+tenants into one long-lived fleet.  Jobs are *admitted incrementally*
+into one fleet-wide node index keyed by ``(stage name, content
+digest)``, so a node claimed by several cells - tessellate and resolve
+depend only on the resolution, not the orientation - or by several
+jobs, even jobs submitted while the fleet is already running, executes
+exactly once, with its result fanned out to every consumer.
 
 Per-job accounting is split out of shared-node execution:
 
@@ -24,7 +20,8 @@ Per-job accounting is split out of shared-node execution:
   outcome fingerprints are bit-identical to running it alone serially;
 * a failed shared node charges the attributed claim's cell only
   (failure splitting), cancels that cell, and re-queues the node for
-  the surviving claims - other jobs never inherit a victim's error;
+  the surviving claims - other cells and jobs never inherit a victim's
+  error;
 * cancelling a job releases its queued nodes *unless another job still
   claims them*: shared nodes survive, running nodes finish (their
   results re-attach to surviving claimants), and the fleet counts the
@@ -36,12 +33,14 @@ job claiming it, so an urgent job admitted late overtakes the backlog
 of a patient one without starving it (shared nodes are executed once
 for both anyway).
 
-Execution reuses the worker entry of the single-job scheduler
-(:func:`~repro.pipeline.scheduler._run_node_task`) verbatim - inline in
-the dispatching thread when ``jobs == 1`` (or after pool-rebuild
-exhaustion), or fanned out over a warm
-:class:`~repro.pipeline.scheduler.WorkerPool` - so the fleet cannot
-drift from the per-job executor in what a "node execution" means.
+Tasks run through :func:`~repro.pipeline.scheduler.run_task` - inline
+in the dispatching thread on one fleet-owned cache when ``jobs == 1``
+(or after pool-rebuild exhaustion), or fanned out over a warm
+:class:`~repro.pipeline.scheduler.WorkerPool` whose workers share
+artifacts through one on-disk cache.  A worker death
+(:class:`~concurrent.futures.process.BrokenProcessPool`) requeues the
+lost tasks and rebuilds the pool a bounded number of times before the
+fleet degrades to inline execution.
 """
 
 from __future__ import annotations
@@ -54,10 +53,12 @@ import time
 from concurrent.futures import FIRST_COMPLETED, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
+from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import observability as obs
 from repro.mesh.content_hash import model_digest
+from repro.pipeline import shm as shm_tier
 from repro.pipeline.cache import CacheStats, StageCache
 from repro.pipeline.chain import ChainContext
 from repro.pipeline.disk import DiskStageCache
@@ -76,6 +77,7 @@ from repro.pipeline.scheduler import (
     NodeRecord,
     WorkerPool,
     _run_node_task,
+    run_task,
 )
 from repro.pipeline.stage import StageExecution
 
@@ -95,8 +97,8 @@ _NO_DEADLINE = float("inf")
 class FleetJob:
     """One sweep job admitted to the fleet: inputs + per-job ledgers.
 
-    The fleet analogue of one :class:`~repro.pipeline.parallel.ParallelSweep`
-    run: a model, a ``(resolution, orientation)`` grid, a picklable
+    What one :class:`~repro.pipeline.parallel.ParallelSweep` run admits:
+    a model, a ``(resolution, orientation)`` grid, a picklable
     :class:`ChainConfig`, and the accounting that must stay per-job
     even when execution is shared - scheduler counters, cache stats,
     trace spans, transport bytes, cell results/errors.
@@ -132,7 +134,7 @@ class FleetJob:
         self.chain = None  # planning chain (stage order + key functions)
         self.model_ref: Tuple[str, Any] = ("inline", model)
         # Per-job ledgers.
-        self.counters = SchedulerStats(dedupe=True)
+        self.counters = SchedulerStats()
         self.stats = CacheStats()
         self.transport = TransportStats()
         self.spans: List[dict] = []
@@ -161,10 +163,9 @@ class FleetJob:
 class FleetNode:
     """One schedulable unit of the fleet-wide merged graph.
 
-    Like :class:`~repro.pipeline.graph.GraphNode`, identity is
-    ``(stage name, content digest)`` - but ``claims`` lists
-    ``(job_id, cell index)`` pairs across *jobs*, in claim order (the
-    creating job's claim first).
+    Identity is ``(stage name, content digest)``; ``claims`` lists the
+    ``(job_id, cell index)`` pairs that need the node, across cells and
+    jobs, in claim order (the creating cell's claim first).
     """
 
     __slots__ = (
@@ -175,7 +176,7 @@ class FleetNode:
     def __init__(self, stage_name, position, digest, key, deps):
         self.stage_name = stage_name
         #: Topological position of the stage (heap tie-break: upstream
-        #: nodes first, like GraphNode.priority).
+        #: nodes first).
         self.position = position
         self.digest = digest
         self.key = key
@@ -200,20 +201,22 @@ class FleetScheduler:
     ----------
     cache_dir:
         Shared :class:`DiskStageCache` directory every job's artifacts
-        flow through (required: cross-job sharing *is* the point).
+        flow through.  Required when ``jobs > 1`` (the workers share
+        artifacts through it); with ``jobs == 1`` and no directory the
+        fleet runs on one in-memory :class:`StageCache`.
     jobs:
         Worker processes.  ``1`` executes tasks inline in whichever
         thread drives :meth:`step`; ``> 1`` leases executors from
         ``pool`` (or a private :class:`WorkerPool`).
     retry / cell_timeout_s:
-        Node-level resilience knobs, as for
-        :class:`~repro.pipeline.scheduler.GraphScheduler`.
+        Node-level resilience: the :class:`RetryPolicy` every task
+        runs under, and its wall-clock budget.
     keep_going:
         ``True`` (default): a failed cell becomes a structured error in
         its job's report and the rest of the fleet continues.
         ``False``: the victim *job*'s remaining cells are cancelled
-        too (other jobs always continue - one tenant's abort must not
-        void another's).
+        too, and the job completes with that one error (other jobs
+        always continue - one tenant's abort must not void another's).
     metrics:
         Optional :class:`~repro.observability.MetricsRegistry` for the
         fleet-lifetime counters (``fleet.cross_job_deduped``, ...).
@@ -237,7 +240,9 @@ class FleetScheduler:
     ):
         if jobs < 1:
             raise PipelineConfigError("jobs must be >= 1")
-        self.cache_dir = str(cache_dir)
+        if cache_dir is None and jobs > 1:
+            raise PipelineConfigError("a pooled fleet needs a cache_dir")
+        self.cache_dir = None if cache_dir is None else str(cache_dir)
         self.jobs = jobs
         self.retry = retry
         self.cell_timeout_s = cell_timeout_s
@@ -265,6 +270,8 @@ class FleetScheduler:
         self._degraded = False
         self._completed: List[FleetJob] = []
         self._roots_published: set = set()
+        #: The cache inline tasks run on, created on first use.
+        self._inline_cache = None
         # Fleet-lifetime counters (per-job views live on job.counters).
         self.cross_job_deduped = 0
         self.fanout_results = 0
@@ -306,7 +313,11 @@ class FleetScheduler:
 
     def _publish_root(self, digest: str, model) -> Tuple[str, Any]:
         """Handle-passing transport: publish the model root once, ship
-        its digest in every payload (falls back to inline on failure)."""
+        its digest in every payload (falls back to inline on failure).
+        Inline execution has no transport, so ``jobs == 1`` keeps the
+        model itself."""
+        if self.jobs == 1:
+            return ("inline", model)
         if digest in self._roots_published:
             return ("handle", digest)
         root_cache = DiskStageCache(self.cache_dir)
@@ -326,7 +337,6 @@ class FleetScheduler:
         ctx.digests["model"] = root_digest
         digests = {"model": root_digest}
         mine: Dict[str, FleetNode] = {}
-        fanned = False
         for position, stage in enumerate(job.chain.graph.order):
             if stage.name in SWEEP_EXCLUDED:
                 continue
@@ -370,7 +380,6 @@ class FleetScheduler:
                         job.counters.fanout_results += 1
                         self.fanout_results += 1
                         self._inc("fleet.fanout_results")
-                        fanned = True
                 if node.state is READY:
                     # An urgent claimant may improve the node's rank;
                     # re-push (the stale entry is skipped at pop).
@@ -389,8 +398,6 @@ class FleetScheduler:
         self._final_missing[fkey] = missing
         if missing == 0:
             self._push(("final", job.job_id, index))
-        if fanned:
-            pass  # counted above; kept for readability
 
     # -- ready heap ----------------------------------------------------------
 
@@ -494,7 +501,6 @@ class FleetScheduler:
             job.cell_digests[index],
             self.retry,
             self.cell_timeout_s,
-            True,  # trace: the fleet always produces per-job traces
             assess,
             job.cell_attempts.get(index, 1),
         )
@@ -683,9 +689,12 @@ class FleetScheduler:
     def _maybe_complete(self, job) -> None:
         if job.job_id not in self._jobs:
             return
+        # A cell released by a keep_going=False abort is resolved too:
+        # it will never produce a result or an error.
         unresolved = [
             i for i in range(len(job.grid))
             if i not in job.results and i not in job.errors
+            and (job.job_id, i) not in self._dead_finals
         ]
         if unresolved:
             return
@@ -828,11 +837,16 @@ class FleetScheduler:
                 self._drop_unclaimed(entry)
                 return True
             payload = self._payload(entry, claim)
-        # The worker entry installs its own tracer; preserve whatever
-        # tracer the embedding process had installed.
+            if self._inline_cache is None:
+                self._inline_cache = (
+                    StageCache() if self.cache_dir is None
+                    else DiskStageCache(self.cache_dir)
+                )
+        # The task installs its own tracer; preserve whatever tracer
+        # the embedding process had installed.
         prev = obs.get_tracer()
         try:
-            shipped = _run_node_task(payload)
+            shipped = run_task(self._inline_cache, payload)
         finally:
             if prev is not None and obs.get_tracer() is not prev:
                 obs.install(prev)
@@ -888,8 +902,11 @@ class FleetScheduler:
                 return_when=FIRST_COMPLETED,
             )
             for future in done:
-                entry, claim, size = self._inflight.pop(future)
+                # Read the result first: a dead worker raises here, and
+                # the entry must still be in flight so the broken-pool
+                # handler requeues it.
                 shipped = future.result()
+                entry, claim, size = self._inflight.pop(future)
                 with self._lock:
                     self._record_transport(claim, size, shipped)
                     self._absorb(entry, claim, shipped)
@@ -914,13 +931,15 @@ class FleetScheduler:
             node = self._nodes.get(entry[1])
             if node is not None and node.state is RUNNING:
                 self._push_node(node)
-        else:
+        elif entry[1] in self._jobs:
+            # A final whose job completed (keep_going=False abort) or
+            # was cancelled while the task ran has no one to requeue for.
             self._push(entry)
 
     def _handle_broken_pool(self) -> None:
         """Harvest what finished, requeue the lost tasks, and rebuild
         the pool a bounded number of times before degrading to inline
-        execution (mirrors the single-job scheduler's recovery)."""
+        execution."""
         self._rebuilds += 1
         for future, (entry, claim, size) in list(self._inflight.items()):
             harvested = False
@@ -938,6 +957,13 @@ class FleetScheduler:
                 with self._lock:
                     self._requeue(entry)
         self._inflight.clear()
+        if shm_tier.shm_enabled():
+            # Dead workers may have published shared-memory blocks they
+            # can no longer clean up; reap them before the replacement
+            # pool republishes what it needs.
+            shm_tier.cleanup_registry(
+                Path(self.cache_dir) / shm_tier.REGISTRY_NAME
+            )
         if self._rebuilds > self.max_pool_rebuilds:
             self._degraded = True
             if not self._owned_pool:

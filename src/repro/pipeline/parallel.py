@@ -5,13 +5,12 @@ counterfeiter's brute force alike - is embarrassingly parallel across
 grid cells, but the cells share work: tessellation and coincident-face
 resolution depend only on the resolution, not the orientation.
 :class:`ParallelSweep` is the sweep facade: it expands the grid, keys
-and journals the cells, and delegates execution to the stage-granular
-:class:`~repro.pipeline.scheduler.GraphScheduler`, which merges all
-cells into one :class:`~repro.pipeline.graph.ExecutionGraph` so shared
-upstream nodes are *scheduled exactly once fleet-wide* (not merely
-deduplicated by cache races) and fans the graph's topological waves out
-to a :class:`~concurrent.futures.ProcessPoolExecutor` whose workers
-share artifacts through one on-disk
+and journals the cells, and runs the cells it must compute as a fleet
+of one job on a private :class:`~repro.pipeline.fleet.FleetScheduler`.
+The fleet merges the cells into one ``(stage, content digest)`` node
+set, so shared upstream nodes are *scheduled exactly once* (not merely
+deduplicated by cache races), and executes the nodes inline or across
+a process pool whose workers share artifacts through one on-disk
 :class:`~repro.pipeline.disk.DiskStageCache`.
 
 Determinism: cells are reported in grid order, every stage is pure,
@@ -20,8 +19,8 @@ parallel sweep produces exactly the artifacts of the serial sweep,
 which :func:`outcome_fingerprint` makes checkable as a single content
 hash per cell.
 
-Fault tolerance (ISSUE 3): a sweep is only as strong as its weakest
-cell unless failures are *isolated*.  Here:
+Fault tolerance: a sweep is only as strong as its weakest cell unless
+failures are *isolated*.  Here:
 
 * every node runs under a :class:`~repro.pipeline.resilience.RetryPolicy`
   (transient failures retried with backoff) and an optional wall-clock
@@ -35,19 +34,22 @@ cell unless failures are *isolated*.  Here:
   triggers a bounded number of pool rebuilds with resubmission of the
   lost nodes, then graceful degradation to serial execution;
 * completed cells are checkpointed to a
-  :class:`~repro.pipeline.journal.SweepJournal` so a crashed sweep can
-  ``resume`` without recomputing finished cells - and the scheduler
-  never even *plans* a replayed cell's nodes.
+  :class:`~repro.pipeline.journal.SweepJournal` as they finish, so a
+  crashed sweep can ``resume`` without recomputing finished cells - and
+  the fleet never even *plans* a replayed cell's nodes.
 """
 
 from __future__ import annotations
 
+import tempfile
 import time
+from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro import observability as obs
 from repro.cad.resolution import StlResolution
 from repro.mesh.content_hash import model_digest
+from repro.pipeline import shm as shm_tier
 from repro.pipeline.cache import digest_parts
 from repro.pipeline.chain import (
     PLATE_MARGIN_MM,
@@ -56,6 +58,8 @@ from repro.pipeline.chain import (
     _resolution_key,
     _settings_key,
 )
+from repro.pipeline.fleet import FleetJob, FleetScheduler
+from repro.pipeline.graph import SchedulerStats
 from repro.pipeline.journal import SweepJournal
 from repro.pipeline.report import (
     SweepAborted,
@@ -73,12 +77,7 @@ from repro.pipeline.resilience import (
     RetryPolicy,
     time_limit,
 )
-from repro.pipeline.scheduler import (
-    OUTCOME_STAGES,
-    ChainConfig,
-    GraphScheduler,
-    WorkerPool,
-)
+from repro.pipeline.scheduler import OUTCOME_STAGES, ChainConfig, WorkerPool
 from repro.printer.machines import DIMENSION_ELITE, MachineProfile
 from repro.printer.orientation import PrintOrientation
 from repro.slicer.settings import SlicerSettings
@@ -116,8 +115,8 @@ def execute_cell(
 
     The whole-cell execution path, kept for consumers that iterate a
     shared long-lived chain themselves (the counterfeiter simulator's
-    serial attack loop); sweeps go through the stage-granular
-    scheduler instead.  Returns ``(cell, error)`` with exactly one of
+    serial attack loop); sweeps go through the fleet scheduler
+    instead.  Returns ``(cell, error)`` with exactly one of
     the two set.
     """
     context = f"{resolution.name}/{orientation.value}"
@@ -190,7 +189,7 @@ class ParallelSweep:
     machine / settings / raster_cell_mm / plate_margin_mm:
         Chain configuration, as for :class:`~repro.pipeline.ProcessChain`.
     jobs:
-        Worker process count; ``1`` (default) runs the merged graph
+        Worker process count; ``1`` (default) runs the merged node set
         serially in-process.
     cache_dir:
         Directory for the shared :class:`DiskStageCache`.  Required to
@@ -216,16 +215,10 @@ class ParallelSweep:
     resume:
         Replay ``journal_path`` before running: cells with an intact
         journal record are served from it instead of recomputed (their
-        nodes are never planned into the execution graph).
+        nodes are never planned into the fleet).
     max_pool_rebuilds:
         Worker-pool rebuilds after :class:`BrokenProcessPool` before
         the remaining nodes degrade to serial in-process execution.
-    dedupe:
-        ``True`` (default): shared upstream nodes (tessellate, resolve)
-        are scheduled once fleet-wide.  ``False`` plans one node per
-        cell per stage - the legacy cell-granular schedule, kept as an
-        ablation baseline (the shared cache still deduplicates compute,
-        so only scheduling overhead differs).
     pool:
         An external :class:`~repro.pipeline.scheduler.WorkerPool` to
         lease workers from instead of spawning a throwaway pool per
@@ -248,7 +241,6 @@ class ParallelSweep:
         journal_path: Optional[str] = None,
         resume: bool = False,
         max_pool_rebuilds: int = MAX_POOL_REBUILDS,
-        dedupe: bool = True,
         pool: Optional[WorkerPool] = None,
     ):
         if jobs < 1:
@@ -271,26 +263,7 @@ class ParallelSweep:
         self.journal_path = journal_path
         self.resume = resume
         self.max_pool_rebuilds = max_pool_rebuilds
-        self.dedupe = dedupe
         self.pool = pool
-
-    def _scheduler(self) -> GraphScheduler:
-        return GraphScheduler(
-            config=ChainConfig(
-                machine=self.machine,
-                settings=self.settings,
-                raster_cell_mm=self.raster_cell_mm,
-                plate_margin_mm=self.plate_margin_mm,
-            ),
-            jobs=self.jobs,
-            cache_dir=self.cache_dir,
-            retry=self.retry,
-            cell_timeout_s=self.cell_timeout_s,
-            keep_going=self.keep_going,
-            max_pool_rebuilds=self.max_pool_rebuilds,
-            dedupe=self.dedupe,
-            pool=self.pool,
-        )
 
     def run(
         self,
@@ -323,7 +296,7 @@ class ParallelSweep:
                 for r, o in grid
             ]
             replayed = self._replay(journal, keys) if self.resume else {}
-            report = self._scheduler().execute(
+            report = self._execute(
                 model, grid, keys, replayed, assess, analyze_seam, journal
             )
             report.wall_s = time.perf_counter() - start
@@ -341,6 +314,100 @@ class ParallelSweep:
             )
         if report.errors and not self.keep_going:
             raise SweepAborted(report.errors[0])
+        return report
+
+    # -- execution -----------------------------------------------------------
+
+    def _execute(
+        self, model, grid, keys, replayed, assess, analyze_seam, journal
+    ) -> SweepReport:
+        """Run every non-replayed cell as one fleet job; journal each
+        cell as it finishes; merge with the replayed cells."""
+        todo = [i for i in range(len(grid)) if i not in replayed]
+        tmp = None
+        cache_dir = self.cache_dir
+        if self.jobs > 1 and cache_dir is None:
+            tmp = tempfile.TemporaryDirectory(prefix="repro-sweep-cache-")
+            cache_dir = tmp.name
+        registry = (
+            Path(cache_dir) / shm_tier.REGISTRY_NAME if cache_dir else None
+        )
+        if registry is not None and shm_tier.shm_enabled():
+            # If this parent dies mid-sweep (SIGTERM, interpreter
+            # exit), the atexit/signal reaper still unlinks every
+            # published segment - the finally below only covers the
+            # normal path.
+            shm_tier.arm_parent_reaper(registry)
+        fleet = FleetScheduler(
+            cache_dir,
+            jobs=self.jobs,
+            retry=self.retry,
+            cell_timeout_s=self.cell_timeout_s,
+            keep_going=self.keep_going,
+            max_pool_rebuilds=self.max_pool_rebuilds,
+            pool=self.pool,
+        )
+        job = None
+        try:
+            if todo:
+                job = fleet.admit(FleetJob(
+                    "sweep", model, [grid[i] for i in todo],
+                    ChainConfig(
+                        machine=self.machine,
+                        settings=self.settings,
+                        raster_cell_mm=self.raster_cell_mm,
+                        plate_margin_mm=self.plate_margin_mm,
+                    ),
+                    assess=assess,
+                    analyze_seam=analyze_seam,
+                ))
+            counters = job.counters if job else SchedulerStats()
+            with obs.span(
+                "graph.run",
+                jobs=self.jobs,
+                cells=len(todo),
+                nodes=counters.total_scheduled,
+            ):
+                journaled: set = set()
+                while fleet.has_work():
+                    fleet.step()
+                    if journal is None:
+                        continue
+                    for j, cell in list(job.results.items()):
+                        if j not in journaled:
+                            journal.append(keys[todo[j]], cell)
+                            journaled.add(j)
+                obs.annotate(
+                    scheduled=counters.total_scheduled,
+                    deduped=counters.total_deduped,
+                    executed=counters.total_executed,
+                )
+        finally:
+            fleet.shutdown()
+            if registry is not None:
+                # Shared-memory segments are machine-global; the run
+                # that published them must take them down (crashed
+                # workers cannot).
+                if shm_tier.shm_enabled():
+                    shm_tier.cleanup_registry(registry)
+                shm_tier.disarm_parent_reaper(registry)
+            if tmp is not None:
+                tmp.cleanup()
+        results = dict(replayed)
+        if job is None:
+            report = SweepReport(
+                jobs=self.jobs,
+                scheduler=counters,
+                transport=TransportStats() if self.jobs > 1 else None,
+            )
+        else:
+            report = job.report
+            results.update((todo[j], c) for j, c in job.results.items())
+            tracer = obs.get_tracer()
+            if tracer is not None:
+                tracer.adopt(job.spans)
+        report.cells = [results[i] for i in sorted(results)]
+        report.resumed = len(replayed)
         return report
 
     # -- journal -------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Sweep result types: cells, errors, reports, outcome fingerprints.
 
-These used to live in :mod:`repro.pipeline.parallel`; they moved here
-so both the cell-facade (:class:`~repro.pipeline.parallel.ParallelSweep`)
-and the stage-granular :class:`~repro.pipeline.scheduler.GraphScheduler`
-can share them without an import cycle.  ``repro.pipeline.parallel``
-re-exports everything, so existing imports keep working.
+They live apart from :mod:`repro.pipeline.parallel` so the sweep facade
+(:class:`~repro.pipeline.parallel.ParallelSweep`), the fleet scheduler
+(:class:`~repro.pipeline.fleet.FleetScheduler`) and the task executors
+(:mod:`repro.pipeline.scheduler`) can share them without an import
+cycle.  ``repro.pipeline.parallel`` re-exports everything, so existing
+imports keep working.
 """
 
 from __future__ import annotations
@@ -199,8 +200,8 @@ class SweepReport:
     journal_rejected: int = 0
     #: Journal lines that could not even be parsed during resume.
     journal_dropped: int = 0
-    #: Fleet-wide node-scheduling counters of the stage-granular
-    #: scheduler (requested/scheduled/deduped/executed per stage).
+    #: Node-scheduling counters of the fleet scheduler
+    #: (requested/scheduled/deduped/executed per stage).
     #: ``None`` for reports produced outside the sweep executor.
     scheduler: Optional[SchedulerStats] = None
     #: Worker-pipe byte accounting (parallel runs only; ``None`` for

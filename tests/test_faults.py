@@ -13,6 +13,7 @@ never correctness.
 
 import json
 import os
+import time
 
 import pytest
 
@@ -22,7 +23,14 @@ from repro.faults import KILL_EXIT_CODE, FaultPlan, FaultSpec
 from repro.faults import injector as _injector
 from repro.obfuscade.obfuscator import Obfuscator
 from repro.obfuscade.quality import assess_print
-from repro.pipeline import ParallelSweep, RetryPolicy
+from repro.pipeline import (
+    FleetJob,
+    FleetScheduler,
+    ParallelSweep,
+    ProcessChain,
+    RetryPolicy,
+)
+from repro.pipeline.scheduler import ChainConfig
 from repro.printer.orientation import PrintOrientation
 
 chaos = pytest.mark.skipif(
@@ -205,6 +213,45 @@ class TestChaosSweep:
         assert report.pool_rebuilds >= 1
         assert not report.degraded_to_serial
         assert _fingerprints(report) == baseline
+
+    def test_worker_death_in_overlapping_fleet_jobs(
+        self, protected, baseline, tmp_path
+    ):
+        """A worker death mid-fleet requeues the lost task: both
+        overlapping jobs complete instead of waiting on it forever."""
+        chain = ProcessChain()
+        config = ChainConfig(
+            machine=chain.machine,
+            settings=chain.base_settings,
+            raster_cell_mm=chain.simulator.raster_cell_mm,
+            plate_margin_mm=chain.plate_margin_mm,
+        )
+        faults.install(FaultPlan(
+            (FaultSpec("worker", "kill-worker", times=1),),
+            scratch=str(tmp_path / "scratch"),
+        ))
+        fleet = FleetScheduler(cache_dir=tmp_path / "cache", jobs=2)
+        grid = [(COARSE, o) for o in GRID_ORIENTATIONS]
+        jobs = [
+            fleet.admit(FleetJob(name, protected.model, cells, config,
+                                 assess=assess_print))
+            for name, cells in (("both", grid), ("one", grid[1:]))
+        ]
+        # Bounded drive: a lost task must fail the test, not wedge it.
+        deadline = time.monotonic() + 180.0
+        try:
+            while fleet.has_work():
+                assert time.monotonic() < deadline, "fleet wedged"
+                fleet.step()
+        finally:
+            fleet.shutdown()
+        for job in jobs:
+            assert job.report is not None and job.report.ok
+            assert job.report.pool_rebuilds >= 1
+            assert _fingerprints(job.report) == {
+                key: baseline[key] for key in _fingerprints(job.report)
+            }
+        assert len(_fingerprints(jobs[0].report)) == 2
 
     def test_persistent_worker_death_degrades_to_serial(
         self, protected, baseline, tmp_path

@@ -247,3 +247,30 @@ class TestPriorities:
         fleet.run_until_idle()
         assert order == ["urgent", "patient"]
         assert urgent.report.ok and patient.report.ok
+
+
+def _exploding_assess(outcome):
+    raise ValueError("grader exploded")
+
+
+class TestKeepGoingFalse:
+    def test_failed_cell_completes_the_job(self, protected, config, tmp_path):
+        """keep_going=False releases the victim job's other cells; the
+        job must still complete with exactly that one error instead of
+        waiting forever on the released cells."""
+        fleet = FleetScheduler(cache_dir=tmp_path / "cache", jobs=1,
+                               keep_going=False)
+        job = fleet.admit(FleetJob("doomed", protected.model, GRID_A, config,
+                                   assess=_exploding_assess))
+        # 16 nodes + 2 finals run one per step; the bound leaves room
+        # but fails fast if the fleet never goes idle.
+        for _ in range(200):
+            if not fleet.has_work():
+                break
+            fleet.step()
+        else:
+            pytest.fail("fleet still busy after 200 steps")
+        assert job.report is not None
+        assert len(job.report.errors) == 1
+        assert job.report.errors[0].error_type == "ValueError"
+        assert job.report.cells == []
