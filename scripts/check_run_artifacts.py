@@ -10,8 +10,13 @@ unless
   and approximately (run_s) with the manifest's ``stages`` block,
 - every cell fingerprint in the manifest also appears on a
   ``sweep.cell`` span in the trace,
+- the manifest's ``scheduler.fleet.cutoff_cells`` (cells resolved at
+  fleet admission from the finalize memo) is at most ``cells_ok``, and
+  exactly that many ``sweep.cell`` spans carry ``cutoff: true``, each
+  witnessing a manifest fingerprint,
 - with ``--jobs > 1``, the merged trace carries spans from at least two
-  distinct processes (proof the worker spans were shipped back),
+  distinct processes (proof the worker spans were shipped back) unless
+  every ok cell was resumed or cut off - neither computes anything,
 - with ``--baseline-manifest``, the per-cell fingerprints equal the
   baseline run's exactly (the scheduler-equivalence gate: a parallel
   stage-granular sweep must be bit-identical to the serial one),
@@ -184,11 +189,40 @@ def check(
             )
 
     counters = doc.get("counters", {})
-    computed = counters.get("cells_ok", 0) - counters.get("cells_resumed", 0)
+    cutoff = ((doc.get("scheduler") or {}).get("fleet") or {}).get(
+        "cutoff_cells", 0
+    )
+    if cutoff > counters.get("cells_ok", 0):
+        problems.append(
+            f"scheduler.fleet.cutoff_cells is {cutoff}, more than "
+            f"cells_ok {counters.get('cells_ok', 0)}"
+        )
+    cutoff_fps = [
+        row.get("attrs", {}).get("fingerprint")
+        for row in rows
+        if row.get("name") == "sweep.cell"
+        and row.get("attrs", {}).get("cutoff") is True
+    ]
+    if len(cutoff_fps) != cutoff:
+        problems.append(
+            f"{len(cutoff_fps)} sweep.cell span(s) carry cutoff: true, "
+            f"but scheduler.fleet.cutoff_cells is {cutoff}"
+        )
+    manifest_fps = set(doc.get("fingerprints", {}).values())
+    for fp in cutoff_fps:
+        if fp not in manifest_fps:
+            problems.append(
+                f"cut-off sweep.cell span witnesses fingerprint {fp}, "
+                f"which no manifest cell carries"
+            )
+    computed = (
+        counters.get("cells_ok", 0) - counters.get("cells_resumed", 0)
+        - cutoff
+    )
     if jobs > 1 and computed > 0:
-        # A fully-resumed run replays everything in the parent process
-        # and legitimately traces one pid; any actually computed cell
-        # must have left worker spans in the merged trace.
+        # A fully-resumed or fully cut-off run computes nothing, so it
+        # legitimately traces one pid; any actually computed cell must
+        # have left worker spans in the merged trace.
         pids = {row.get("pid") for row in rows}
         if len(pids) < 2:
             problems.append(

@@ -19,6 +19,9 @@ other subsystems (ISSUE 9 + ISSUE 10 acceptance):
   structured 429 envelope, never a hang;
 * the shared job's fingerprints must be bit-identical to a serial CLI
   sweep of the same grid (``--baseline``);
+* the shared grid resubmitted after its job finished must be answered
+  at fleet admission from the finalize memo (early cutoff): one cut-off
+  cell, zero pool tasks, the same fingerprints;
 * ``check_run_artifacts.py`` must pass on EVERY completed job's
   manifest + trace (per-job accounting stays exact under the fleet);
 * the warm worker pool must survive every job without a rebuild.
@@ -191,6 +194,47 @@ def main(argv=None) -> int:
                     f"{baseline.get('fingerprints')}"
                 )
 
+        # Early cutoff: the shared grid, resubmitted once its job is
+        # finished (finished jobs are not joinable), resolves at fleet
+        # admission from the finalize memo - no node claim, no task.
+        resubmitter = ServiceClient(server.url, tenant="resubmit")
+        resubmitted = resubmitter.submit(**SHARED)
+        if resubmitter.last_submit_joined:
+            problems.append(
+                f"resubmission joined {resubmitted.job_id} (want a fresh "
+                f"admission after the shared job finished)"
+            )
+        resub_view = waiter.wait_result(resubmitted.job_id, timeout_s=900)
+        if resub_view.state != "done":
+            problems.append(f"resubmitted job ended {resub_view.state}: "
+                            f"{resub_view.error}")
+        else:
+            cutoff = resub_view.result["fleet"].get("cutoff_cells")
+            if cutoff != 1:
+                problems.append(
+                    f"resubmitted job cut off {cutoff} cells (want 1)"
+                )
+            resub_doc = manifest_mod.read_manifest(
+                resub_view.result["manifest"]
+            )
+            tasks = (resub_doc.get("transport") or {}).get("tasks", 0)
+            if tasks != 0:
+                problems.append(
+                    f"resubmitted job shipped {tasks} pool tasks (want 0)"
+                )
+            resub_fp = resub_view.result["fingerprints"]
+            if resub_fp != shared_fp:
+                problems.append(
+                    f"resubmitted job fingerprints {resub_fp} != shared "
+                    f"job's {shared_fp}"
+                )
+            if args.baseline and baseline.get("fingerprints") != resub_fp:
+                problems.append(
+                    "resubmitted job fingerprints diverge from the serial "
+                    f"CLI baseline: {resub_fp} != "
+                    f"{baseline.get('fingerprints')}"
+                )
+
         # The tentpole gate: concurrently admitted overlapping jobs
         # must have deduped at least one node across job boundaries.
         cross_job = sum(
@@ -208,9 +252,9 @@ def main(argv=None) -> int:
         expect = {
             "service.coalesced_jobs": 1,
             "service.joined_waiters": args.identical - 1,
-            "service.jobs_submitted": 2 + len(DISTINCT),
+            "service.jobs_submitted": 3 + len(DISTINCT),
             "service.jobs_rejected": 1,
-            "service.jobs_done": 1 + len(DISTINCT),
+            "service.jobs_done": 2 + len(DISTINCT),
             "service.jobs_cancelled": 1,
         }
         for key, want in expect.items():
@@ -242,10 +286,14 @@ def main(argv=None) -> int:
             )
 
         # Per-job accounting must stay exact under the fleet: the
-        # artifact checker passes on EVERY completed job.
-        for label, view in [("shared", shared_view)] + [
+        # artifact checker passes on EVERY completed job, the cut-off
+        # resubmission included.
+        for label, view in [("shared", shared_view),
+                            ("resubmitted", resub_view)] + [
             (f"distinct-{i}", v) for i, v in enumerate(distinct_views)
         ]:
+            if view.state != "done":
+                continue
             found = check_run_artifacts.check(
                 view.result["trace"], view.result["manifest"],
                 jobs=args.jobs,
@@ -269,7 +317,8 @@ def main(argv=None) -> int:
         f"SMOKE OK: {args.identical} identical submissions -> 1 run "
         f"({args.identical - 1} joins), {len(DISTINCT)} overlapping jobs "
         f"cross-job deduped {cross_job} nodes, 1 queued job cancelled, "
-        f"overflow got a structured 429, artifacts exact on every job"
+        f"overflow got a structured 429, the resubmitted grid was cut off "
+        f"at admission with 0 tasks, artifacts exact on every job"
     )
     return 0
 

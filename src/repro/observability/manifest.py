@@ -151,7 +151,9 @@ def sweep_manifest(
         # Fleet-wide node-scheduling counters of the stage-granular
         # scheduler: proof of how many per-cell stage requests were
         # deduplicated into shared nodes (and that each scheduled node
-        # executed exactly once, failures aside).
+        # executed exactly once, failures aside).  Its ``fleet`` block
+        # also counts the cells cut off at admission from the finalize
+        # memo (``cutoff_cells``), which request no stage at all.
         manifest["scheduler"] = scheduler.to_dict()
     if trace_path is not None:
         manifest["trace"] = {
@@ -246,4 +248,10 @@ def validate_manifest(manifest: Dict[str, Any]) -> List[str]:
                         problems.append(
                             f"scheduler.stages[{name!r}] missing {key!r}"
                         )
+            for key, value in (scheduler.get("fleet") or {}).items():
+                if not isinstance(value, int) or value < 0:
+                    problems.append(
+                        f"scheduler.fleet.{key} must be a non-negative "
+                        f"int, got {value!r}"
+                    )
     return problems

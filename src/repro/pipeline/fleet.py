@@ -27,6 +27,18 @@ Per-job accounting is split out of shared-node execution:
   results re-attach to surviving claimants), and the fleet counts the
   released work as ``cancelled_nodes``.
 
+Admission also applies *early cutoff* (Mokhov, Mitchell and Peyton
+Jones, *Build Systems a la Carte*): a cell's content digests are pure,
+so planning computes them first and looks up the cell's
+:func:`~repro.pipeline.report.finalize_key` in the fleet-lifetime
+finalize memo, which every successful finalize seeds.  A hit resolves
+the cell at admission - no node claim, no task, no artifact load, no
+stage counter - and counts it as ``cutoff_cells``; a job whose every
+cell is cut off completes inside :meth:`FleetScheduler.admit`.  The
+memo lives in process memory, like the worker-side memo
+:func:`~repro.pipeline.scheduler.execute_finalize` already serves, and
+only assess callables with a stable identity are memoized.
+
 Scheduling order respects job priorities (lower = more urgent),
 deadlines and admission order: a ready node ranks by the most urgent
 job claiming it, so an urgent job admitted late overtakes the backlog
@@ -68,6 +80,7 @@ from repro.pipeline.report import (
     SweepCellResult,
     SweepReport,
     TransportStats,
+    finalize_key,
 )
 from repro.pipeline.resilience import NO_RETRY, PipelineConfigError, RetryPolicy
 from repro.pipeline.scheduler import (
@@ -219,12 +232,15 @@ class FleetScheduler:
         always continue - one tenant's abort must not void another's).
     metrics:
         Optional :class:`~repro.observability.MetricsRegistry` for the
-        fleet-lifetime counters (``fleet.cross_job_deduped``, ...).
+        fleet-lifetime counters (``fleet.cross_job_deduped``,
+        ``fleet.cutoff_cells``, ...).
 
     Thread model: :meth:`admit` and :meth:`cancel` are safe from any
     thread; :meth:`step` / :meth:`run_until_idle` must be driven by one
     thread at a time (the service's dispatcher).  Completion callbacks
-    fire on the driving thread, outside the fleet lock.
+    fire on the driving thread, outside the fleet lock - also for a job
+    cut off entirely at admission, which is why :meth:`has_work` stays
+    true until every completed job's callback has fired.
     """
 
     def __init__(
@@ -270,26 +286,46 @@ class FleetScheduler:
         self._degraded = False
         self._completed: List[FleetJob] = []
         self._roots_published: set = set()
-        #: The cache inline tasks run on, created on first use.
-        self._inline_cache = None
+        #: The fleet's own cache, created on first use: inline tasks
+        #: run on it, and its derived memo is the fleet-lifetime
+        #: finalize memo every admission checks.
+        self._cache = None
         # Fleet-lifetime counters (per-job views live on job.counters).
         self.cross_job_deduped = 0
         self.fanout_results = 0
         self.cancelled_nodes = 0
+        self.cutoff_cells = 0
 
     def _inc(self, name: str, n: int = 1) -> None:
         if self.metrics is not None and n:
             self.metrics.inc(name, n)
+
+    def _fleet_cache(self) -> StageCache:
+        if self._cache is None:
+            self._cache = (
+                StageCache() if self.cache_dir is None
+                else DiskStageCache(self.cache_dir)
+            )
+        return self._cache
+
+    def _finalize_key(self, job: FleetJob, index: int) -> Optional[str]:
+        digests = job.cell_digests[index]
+        return finalize_key(
+            (digests[name] for name in OUTCOME_STAGES), job.assess
+        )
 
     # -- admission -----------------------------------------------------------
 
     def admit(self, job: FleetJob) -> FleetJob:
         """Plan ``job`` into the running fleet index (thread-safe).
 
-        Nodes whose ``(stage, digest)`` already exist - created by this
-        job's earlier cells or by *other* jobs - are joined, not
-        re-planned; a joined node that is already DONE satisfies the
-        dependency immediately (late fan-out).  Returns ``job``.
+        A cell whose finalize memo hits is cut off: it resolves here,
+        with no node claimed.  Nodes whose ``(stage, digest)`` already
+        exist - created by this job's earlier cells or by *other* jobs
+        - are joined, not re-planned; a joined node that is already
+        DONE satisfies the dependency immediately (late fan-out).  A
+        job whose every cell is cut off completes here; its callback
+        fires from the next :meth:`step`.  Returns ``job``.
         """
         planning_chain = job.config.build(StageCache())
         digest = model_digest(job.model)
@@ -309,6 +345,7 @@ class FleetScheduler:
             self._jobs[job.job_id] = job
             for index, (resolution, orientation) in enumerate(job.grid):
                 self._plan_cell(job, index, resolution, orientation, digest)
+            self._maybe_complete(job)
         return job
 
     def _publish_root(self, digest: str, model) -> Tuple[str, Any]:
@@ -336,12 +373,24 @@ class FleetScheduler:
         )
         ctx.digests["model"] = root_digest
         digests = {"model": root_digest}
-        mine: Dict[str, FleetNode] = {}
+        planned = []
         for position, stage in enumerate(job.chain.graph.order):
             if stage.name in SWEEP_EXCLUDED:
                 continue
-            digest = job.chain.graph.node_digest(stage, ctx, digests)
-            digests[stage.name] = digest
+            digests[stage.name] = job.chain.graph.node_digest(
+                stage, ctx, digests
+            )
+            planned.append((position, stage))
+        job.cell_digests[index] = digests
+        memo_key = self._finalize_key(job, index)
+        if memo_key is not None:
+            memo = self._fleet_cache().derived_get(memo_key)
+            if memo is not None:
+                self._cut_off(job, index, planned, memo)
+                return
+        mine: Dict[str, FleetNode] = {}
+        for position, stage in planned:
+            digest = digests[stage.name]
             key = (stage.name, digest)
             counters = job.counters.stage(stage.name)
             counters.requested += 1
@@ -386,7 +435,6 @@ class FleetScheduler:
                     self._push_node(node, repush=True)
             node.claims.append((job.job_id, index))
             mine[stage.name] = node
-        job.cell_digests[index] = digests
         job.cell_nodes[index] = mine
         fkey = (job.job_id, index)
         missing = 0
@@ -398,6 +446,54 @@ class FleetScheduler:
         self._final_missing[fkey] = missing
         if missing == 0:
             self._push(("final", job.job_id, index))
+
+    def _cut_off(self, job, index, planned, memo) -> None:
+        """Early cutoff: resolve a memoized cell at admission.
+
+        The cell claims no node, ships no task and touches no stage
+        counter (``requested == scheduled + deduped`` keeps holding);
+        its stage log lists every planned stage as a free hit, like a
+        node another job executed.
+        """
+        fingerprint, assessment = memo
+        resolution, orientation = job.grid[index]
+        digests = job.cell_digests[index]
+        job.results[index] = SweepCellResult(
+            resolution=resolution.name,
+            orientation=orientation.value,
+            fingerprint=fingerprint,
+            assessment=assessment,
+            stage_log=tuple(
+                StageExecution(stage.name, digests[stage.name], True, 0.0)
+                for _, stage in planned
+            ),
+            attempts=1,
+        )
+        job.counters.cutoff_cells += 1
+        self.cutoff_cells += 1
+        self._inc("fleet.cutoff_cells")
+        self._cell_span(job, index, outcome="ok", attempts=1,
+                        fingerprint=fingerprint, cutoff=True)
+
+    def _cell_span(self, job, index, **attrs) -> None:
+        """A parent-side ``sweep.cell`` span witnessing a cell that no
+        finalize task ran for (a cut-off cell, a failed node's victim):
+        the job's audit trail must still show it."""
+        resolution, orientation = job.grid[index]
+        job.spans.append(obs.Span(
+            name="sweep.cell",
+            span_id=f"{os.getpid():x}-fleet-{job.job_id}-{index}",
+            parent_id=None,
+            pid=os.getpid(),
+            start_s=time.time(),
+            duration_s=0.0,
+            attrs={
+                "cell": job.cell_label(index),
+                "resolution": resolution.name,
+                "orientation": orientation.value,
+                **attrs,
+            },
+        ).to_dict())
 
     # -- ready heap ----------------------------------------------------------
 
@@ -536,6 +632,13 @@ class FleetScheduler:
                     self._cancel_job_cells(job)
             else:
                 fingerprint, assessment, attempts = result
+                memo_key = self._finalize_key(job, index)
+                if memo_key is not None:
+                    # Seed the fleet memo: a later admission of this
+                    # cell is cut off.  Errors are never memoized.
+                    self._fleet_cache().derived_put(
+                        memo_key, (fingerprint, assessment)
+                    )
                 job.results[index] = SweepCellResult(
                     resolution=job.grid[index][0].name,
                     orientation=job.grid[index][1].value,
@@ -610,24 +713,9 @@ class FleetScheduler:
         )
         self._route(job, delta, spans)
         job.errors[index] = attributed
-        # The victim job's audit trail must witness the failed cell
-        # even though its finalize never runs.
-        job.spans.append(obs.Span(
-            name="sweep.cell",
-            span_id=f"{os.getpid():x}-fleet-{job.job_id}-{index}",
-            parent_id=None,
-            pid=os.getpid(),
-            start_s=time.time(),
-            duration_s=0.0,
-            attrs={
-                "cell": job.cell_label(index),
-                "resolution": resolution.name,
-                "orientation": orientation.value,
-                "outcome": "error",
-                "error_type": attributed.error_type,
-                "attempts": attributed.attempts,
-            },
-        ).to_dict())
+        self._cell_span(job, index, outcome="error",
+                        error_type=attributed.error_type,
+                        attempts=attributed.attempts)
         self._release_cell(job, index)
         if node.claims:
             # Surviving claims still need the node; its fault budget
@@ -726,6 +814,7 @@ class FleetScheduler:
                 "priority": job.priority,
                 "cross_job_deduped": job.counters.cross_job_deduped,
                 "fanout_results": job.counters.fanout_results,
+                "cutoff_cells": job.counters.cutoff_cells,
             },
         ).to_dict())
         self._retire(job)
@@ -784,8 +873,11 @@ class FleetScheduler:
             return len(self._jobs)
 
     def has_work(self) -> bool:
+        """True while a job is admitted, a task is in flight, or a
+        completed job's callback has yet to fire (a job cut off at
+        admission completes without any task)."""
         with self._lock:
-            return bool(self._jobs) or bool(self._inflight)
+            return bool(self._jobs or self._inflight or self._completed)
 
     def step(self, timeout: float = 0.1) -> bool:
         """Advance the fleet a little; returns True on any progress.
@@ -795,35 +887,34 @@ class FleetScheduler:
         nodes); pool mode submits every ready entry and waits up to
         ``timeout`` for completions.
         """
-        progressed = False
-        if self.jobs > 1 and not self._degraded:
-            progressed = self._step_pool(timeout)
-        else:
-            progressed = self._step_inline()
-        self._fire_callbacks()
-        return progressed
+        progressed = self._advance(timeout)
+        return bool(self._fire_callbacks()) or progressed
 
     def run_until_idle(self) -> List[FleetJob]:
-        """Drive :meth:`step` until no admitted job remains (tests and
+        """Drive the fleet until no admitted job remains (tests and
         batch callers); returns the jobs completed meanwhile."""
-        drained: List[FleetJob] = []
-        before = len(self._completed)
+        drained = self._fire_callbacks()
         while self.has_work():
-            self.step()
-        with self._lock:
-            drained = self._completed[before:]
+            self._advance(0.1)
+            drained.extend(self._fire_callbacks())
         return drained
+
+    def _advance(self, timeout: float) -> bool:
+        if self.jobs > 1 and not self._degraded:
+            return self._step_pool(timeout)
+        return self._step_inline()
 
     def shutdown(self) -> None:
         if self._owned_pool and self._pool_handle is not None:
             self._pool_handle.shutdown()
 
-    def _fire_callbacks(self) -> None:
+    def _fire_callbacks(self) -> List[FleetJob]:
         with self._lock:
             done, self._completed = self._completed, []
         for job in done:
             if job.on_complete is not None:
                 job.on_complete(job)
+        return done
 
     # -- inline execution ----------------------------------------------------
 
@@ -837,16 +928,12 @@ class FleetScheduler:
                 self._drop_unclaimed(entry)
                 return True
             payload = self._payload(entry, claim)
-            if self._inline_cache is None:
-                self._inline_cache = (
-                    StageCache() if self.cache_dir is None
-                    else DiskStageCache(self.cache_dir)
-                )
+            cache = self._fleet_cache()
         # The task installs its own tracer; preserve whatever tracer
         # the embedding process had installed.
         prev = obs.get_tracer()
         try:
-            shipped = run_task(self._inline_cache, payload)
+            shipped = run_task(cache, payload)
         finally:
             if prev is not None and obs.get_tracer() is not prev:
                 obs.install(prev)

@@ -267,6 +267,10 @@ class SchedulerStats:
     fanout_results: int = 0
     #: Nodes released unexecuted because every claiming job cancelled.
     cancelled_nodes: int = 0
+    #: Cells resolved at admission from the fleet's finalize memo
+    #: (early cutoff): they claim no node, so no stage counter above
+    #: sees them.
+    cutoff_cells: int = 0
 
     def stage(self, name: str) -> NodeCounters:
         if name not in self.stages:
@@ -300,6 +304,7 @@ class SchedulerStats:
                 "cross_job_deduped": self.cross_job_deduped,
                 "fanout_results": self.fanout_results,
                 "cancelled_nodes": self.cancelled_nodes,
+                "cutoff_cells": self.cutoff_cells,
             },
             "stages": {
                 name: {
@@ -334,10 +339,12 @@ class SchedulerStats:
             f"{self.total_scheduled:>9d} {self.total_deduped:>8d} "
             f"{self.total_executed:>8d}"
         )
-        if self.cross_job_deduped or self.fanout_results or self.cancelled_nodes:
+        if (self.cross_job_deduped or self.fanout_results
+                or self.cancelled_nodes or self.cutoff_cells):
             lines.append(
                 f"fleet: {self.cross_job_deduped} cross-job deduped, "
                 f"{self.fanout_results} results fanned out, "
-                f"{self.cancelled_nodes} nodes cancelled"
+                f"{self.cancelled_nodes} nodes cancelled, "
+                f"{self.cutoff_cells} cells cut off"
             )
         return lines

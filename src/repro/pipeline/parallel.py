@@ -67,6 +67,7 @@ from repro.pipeline.report import (
     SweepCellResult,
     SweepReport,
     TransportStats,
+    assess_identity,
     cell_error_from_exception,
     finalize_key,
     outcome_fingerprint,
@@ -148,8 +149,8 @@ def execute_cell(
         # outcome-stage artifacts, which the stage log already content-
         # addresses - memoize them on the chain's cache so a warm
         # re-run of the same cell skips hashing the voxel grids and
-        # re-assessing entirely (ISSUE 7; uncounted, like any other
-        # derived product).
+        # re-assessing entirely (uncounted, like any other derived
+        # product).
         fingerprint = assessment = None
         memo_key = None
         cache = chain.cache
@@ -159,7 +160,10 @@ def execute_cell(
                 memo_key = finalize_key(
                     (digests[name] for name in OUTCOME_STAGES), assess
                 )
-                memo = cache.derived_get(memo_key)
+                memo = (
+                    None if memo_key is None
+                    else cache.derived_get(memo_key)
+                )
                 if memo is not None:
                     fingerprint, assessment = memo
         if fingerprint is None:
@@ -374,7 +378,7 @@ class ParallelSweep:
                     if journal is None:
                         continue
                     for j, cell in list(job.results.items()):
-                        if j not in journaled:
+                        if j not in journaled and keys[todo[j]] is not None:
                             journal.append(keys[todo[j]], cell)
                             journaled.add(j)
                 obs.annotate(
@@ -414,14 +418,16 @@ class ParallelSweep:
 
     def _cell_key(
         self, model, resolution, orientation, assess, analyze_seam
-    ) -> str:
-        """Content address of one cell: everything that determines it."""
-        assess_key = (
-            None
-            if assess is None
-            else f"{getattr(assess, '__module__', '?')}."
-                 f"{getattr(assess, '__qualname__', repr(assess))}"
-        )
+    ) -> Optional[str]:
+        """Content address of one cell: everything that determines it.
+
+        ``None`` when ``assess`` has no stable identity
+        (:func:`~repro.pipeline.report.assess_identity`): such a cell
+        is neither replayed from nor appended to the journal.
+        """
+        assess_key = assess_identity(assess)
+        if assess is not None and assess_key is None:
+            return None
         return digest_parts(
             "sweep-cell",
             model_digest(model),
@@ -444,7 +450,7 @@ class ParallelSweep:
         entries = journal.load()
         replayed: Dict[int, SweepCellResult] = {}
         for index, key in enumerate(keys):
-            stored = entries.get(key)
+            stored = None if key is None else entries.get(key)
             if isinstance(stored, SweepCellResult):
                 replayed[index] = SweepCellResult(
                     resolution=stored.resolution,

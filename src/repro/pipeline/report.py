@@ -53,26 +53,41 @@ def outcome_fingerprint(outcome) -> str:
 
 
 def assess_identity(assess) -> Optional[str]:
-    """Stable identity string of an assess callable (cache-key grade)."""
+    """Stable identity string of an assess callable (cache-key grade).
+
+    ``module.qualname`` names a module-level function or method for as
+    long as the code is unchanged.  A lambda or a closure (a qualname
+    with ``<lambda>`` or ``<locals>`` in it) does not: two closures
+    from one factory share a qualname but can judge differently.  Such
+    a callable, or one without ``__module__``/``__qualname__`` (e.g. a
+    :func:`functools.partial`), has no stable identity and yields
+    ``None`` - as does ``assess=None``, which needs no identity.
+    """
     if assess is None:
         return None
-    return (
-        f"{getattr(assess, '__module__', '?')}."
-        f"{getattr(assess, '__qualname__', repr(assess))}"
-    )
+    module = getattr(assess, "__module__", None)
+    qualname = getattr(assess, "__qualname__", None)
+    if not module or not qualname or "<" in qualname:
+        return None
+    return f"{module}.{qualname}"
 
 
-def finalize_key(stage_digests: Iterable[str], assess) -> str:
-    """Content address of a cell's *derived* products (ISSUE 7).
+def finalize_key(stage_digests: Iterable[str], assess) -> Optional[str]:
+    """Content address of a cell's *derived* products.
 
     A cell's outcome fingerprint and assessment are pure functions of
     its outcome-stage artifacts - which the digests already address -
     and of the assess callable's identity.  Keyed this way they can be
     memoized on the cache (:meth:`StageCache.derived_get`) and skipped
     entirely on a fully-warm re-run, without touching the stage
-    hit/miss ledger.
+    hit/miss ledger.  ``None`` when ``assess`` has no stable identity
+    (:func:`assess_identity`): such a verdict must never be memoized,
+    and every memo user skips the memo on ``None``.
     """
-    return digest_parts("finalize", tuple(stage_digests), assess_identity(assess))
+    identity = assess_identity(assess)
+    if assess is not None and identity is None:
+        return None
+    return digest_parts("finalize", tuple(stage_digests), identity)
 
 
 @dataclass

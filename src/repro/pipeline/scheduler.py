@@ -13,6 +13,13 @@ inline in the dispatching process or in a pool worker:
   :func:`_run_node_task` is the pool-worker entry around it;
 * :class:`WorkerPool` is the long-lived, rebuildable process pool.
 
+A finalize consults the executing cache's derived memo under
+:func:`~repro.pipeline.report.finalize_key` before it materializes
+anything; the fleet keeps a memo under the same key at plan time, so a
+cell it has already finalized is cut off before any task ships.  A
+``None`` key (an assess callable without a stable identity) bypasses
+both memos.
+
 Accounting invariants, relied on by the observability layer:
 
 * every node execution performs exactly one counted cache lookup (one
@@ -200,7 +207,8 @@ def execute_finalize(
             )
             fingerprint = outcome_fingerprint(outcome)
             assessment = assess(outcome) if assess is not None else None
-            cache.derived_put(memo_key, (fingerprint, assessment))
+            if memo_key is not None:
+                cache.derived_put(memo_key, (fingerprint, assessment))
             return fingerprint, assessment
 
     with obs.span(
@@ -212,8 +220,9 @@ def execute_finalize(
         # A memoized derivation (same outcome digests, same assess
         # callable) serves the verdict without re-materializing the
         # grids or re-hashing them - the all-hits fast path.  The span
-        # still witnesses the cell either way.
-        memo = cache.derived_get(memo_key)
+        # still witnesses the cell either way.  An assess callable
+        # without a stable identity has no memo key and always runs.
+        memo = None if memo_key is None else cache.derived_get(memo_key)
         if memo is not None:
             fingerprint, assessment = memo
             obs.annotate(

@@ -21,7 +21,8 @@ across many requests from many tenants:
 * one warm :class:`~repro.pipeline.WorkerPool` plus one shared
   :class:`~repro.pipeline.DiskStageCache` directory serve every job,
   so repeat evaluations land on hot per-process caches and stored
-  artifacts;
+  artifacts - and a cell the fleet has already finalized is answered
+  at admission from its finalize memo, with no pool task at all;
 * jobs carry priorities and optional deadlines (fleet scheduling
   order) and can be *cancelled*: a queued job leaves the queue; an
   admitted job releases the nodes no other job claims (shared nodes
@@ -363,7 +364,11 @@ class ObfuscadeService:
             return
         job, protected, started = entry
         try:
-            if fleet_job.cancelled or fleet_job.report is None:
+            # A cancel the fleet could not honour (the job completed
+            # at admission, or just before its callback fired) was
+            # still answered "cancelled"; keep that answer true.
+            if (fleet_job.cancelled or fleet_job.report is None
+                    or job.cancel_requested):
                 job.mark_cancelled()
                 self.metrics.inc("service.jobs_cancelled")
                 return
@@ -411,6 +416,7 @@ class ObfuscadeService:
                     "cross_job_deduped": fleet_job.counters.cross_job_deduped,
                     "fanout_results": fleet_job.counters.fanout_results,
                     "cancelled_nodes": fleet_job.counters.cancelled_nodes,
+                    "cutoff_cells": fleet_job.counters.cutoff_cells,
                 },
             })
             self.metrics.inc("service.jobs_done")
@@ -486,6 +492,7 @@ class ObfuscadeService:
             "cross_job_deduped": self.fleet.cross_job_deduped,
             "fanout_results": self.fleet.fanout_results,
             "cancelled_nodes": self.fleet.cancelled_nodes,
+            "cutoff_cells": self.fleet.cutoff_cells,
         }
 
     def healthz(self) -> Dict[str, Any]:

@@ -8,12 +8,15 @@ exactly once fleet-wide (proved by the ``cross_job_deduped`` /
 outcome fingerprints stay bit-identical to running that job alone
 serially.  Cancellation releases only the nodes no surviving job
 claims, and priorities order the fleet so an urgent job admitted
-alongside a patient one finishes first.
+alongside a patient one finishes first.  A cell the fleet has already
+finalized is cut off at admission: it resolves from the fleet's
+finalize memo with no node claim and no task.
 """
 
 import pytest
 
 from repro.cad import COARSE, StlResolution
+from repro.pipeline.cache import CacheStats
 from repro.obfuscade.obfuscator import Obfuscator
 from repro.obfuscade.quality import assess_print
 from repro.pipeline import (
@@ -274,3 +277,159 @@ class TestKeepGoingFalse:
         assert len(job.report.errors) == 1
         assert job.report.errors[0].error_type == "ValueError"
         assert job.report.cells == []
+
+
+def _drive(fleet, bound=600):
+    """Step ``fleet`` until idle; fail instead of hanging."""
+    for _ in range(bound):
+        if not fleet.has_work():
+            return
+        fleet.step(timeout=0.5)
+    pytest.fail(f"fleet still busy after {bound} steps")
+
+
+def _verdict_factory(tag):
+    return lambda outcome: tag
+
+
+#: Calls of :func:`_flaky_assess`; reset by the test that uses it.
+_FLAKY_CALLS = []
+
+
+def _flaky_assess(outcome):
+    """A module-level (stable-identity) grader whose first verdict is
+    lost to an error."""
+    _FLAKY_CALLS.append(outcome)
+    if len(_FLAKY_CALLS) == 1:
+        raise ValueError("first verdict lost")
+    return "graded"
+
+
+class TestEarlyCutoff:
+    def test_closures_from_one_factory_do_not_share_a_verdict(
+        self, protected, config
+    ):
+        """Two lambdas share a qualname but judge differently: neither
+        may be served the other's memoized verdict."""
+        fleet = FleetScheduler(cache_dir=None, jobs=1)
+        cell = [(COARSE, XY)]
+        a = fleet.admit(FleetJob("a", protected.model, cell, config,
+                                 assess=_verdict_factory("A")))
+        _drive(fleet)
+        b = fleet.admit(FleetJob("b", protected.model, cell, config,
+                                 assess=_verdict_factory("B")))
+        _drive(fleet)
+        assert a.report.cells[0].assessment == "A"
+        assert b.report.cells[0].assessment == "B"
+        assert b.counters.cutoff_cells == 0
+        assert fleet.cutoff_cells == 0
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_identical_job_resolves_at_admission(
+        self, protected, config, tmp_path, jobs
+    ):
+        fleet = FleetScheduler(cache_dir=tmp_path / "cache", jobs=jobs)
+        try:
+            first = fleet.admit(FleetJob("first", protected.model, GRID_A,
+                                         config, assess=assess_print))
+            _drive(fleet)
+            fired = []
+            second = fleet.admit(FleetJob(
+                "second", protected.model, GRID_A, config,
+                assess=assess_print,
+                on_complete=lambda j: fired.append(j.job_id),
+            ))
+            # Complete already, but the callback belongs to the
+            # driving thread: has_work() holds until step() fires it.
+            assert second.report is not None and second.report.ok
+            assert fired == [] and fleet.has_work()
+            assert fleet.step() is True
+            assert fired == ["second"] and not fleet.has_work()
+        finally:
+            fleet.shutdown()
+        counters = second.counters
+        assert counters.total_requested == 0
+        assert counters.total_executed == 0
+        assert counters.cutoff_cells == len(GRID_A)
+        assert fleet.cutoff_cells == len(GRID_A)
+        assert second.report.stats == CacheStats()
+        assert second.transport.tasks == 0
+        assert _fingerprints(second) == _fingerprints(first)
+        assert [c.assessment for c in second.report.cells] == [
+            c.assessment for c in first.report.cells
+        ]
+        for cell in second.report.cells:
+            assert cell.attempts == 1
+            assert cell.stage_log
+            assert all(e.cache_hit and e.seconds == 0.0
+                       for e in cell.stage_log)
+        witnessed = [
+            s for s in second.spans
+            if s["name"] == "sweep.cell" and s["attrs"].get("cutoff")
+        ]
+        assert sorted(s["attrs"]["fingerprint"] for s in witnessed) == \
+            sorted(_fingerprints(first).values())
+
+    def test_partial_cutoff_claims_only_new_cells(
+        self, protected, config, tmp_path
+    ):
+        fleet = FleetScheduler(cache_dir=None, jobs=1)
+        fleet.admit(FleetJob("a", protected.model, GRID_A, config,
+                             assess=assess_print))
+        _drive(fleet)
+        b = fleet.admit(FleetJob("b", protected.model, GRID_B, config,
+                                 assess=assess_print))
+        assert b.report is None  # the coarse/y-z cell still has to run
+        assert b.counters.cutoff_cells == 1
+        # Only the new cell's stages were requested, and the
+        # requested == scheduled + deduped accounting still holds.
+        new_cell = len(b.cell_digests[1]) - 1  # minus the model root
+        assert b.counters.total_requested == new_cell
+        assert all(c.requested == c.scheduled + c.deduped
+                   for c in b.counters.stages.values())
+        assert [j.job_id for j in fleet.run_until_idle()] == ["b"]
+        assert b.report.ok
+        assert _fingerprints(b) == _serial_fingerprints(
+            protected, GRID_B, tmp_path / "baseline"
+        )
+
+    def test_failed_verdict_is_recomputed_not_memoized(
+        self, protected, config
+    ):
+        _FLAKY_CALLS.clear()
+        fleet = FleetScheduler(cache_dir=None, jobs=1)
+        cell = [(COARSE, XY)]
+        first = fleet.admit(FleetJob("first", protected.model, cell, config,
+                                     assess=_flaky_assess))
+        _drive(fleet)
+        assert [e.error_type for e in first.report.errors] == ["ValueError"]
+        second = fleet.admit(FleetJob("second", protected.model, cell,
+                                      config, assess=_flaky_assess))
+        assert second.counters.cutoff_cells == 0
+        _drive(fleet)
+        assert second.report.cells[0].assessment == "graded"
+        assert len(_FLAKY_CALLS) == 2
+        # The successful verdict is memoized: a third job is cut off.
+        third = fleet.admit(FleetJob("third", protected.model, cell,
+                                     config, assess=_flaky_assess))
+        assert third.counters.cutoff_cells == 1
+        assert third.report.cells[0].assessment == "graded"
+        assert len(_FLAKY_CALLS) == 2
+
+    def test_cancel_after_admission_time_completion(
+        self, protected, config
+    ):
+        fleet = FleetScheduler(cache_dir=None, jobs=1)
+        cell = [(COARSE, XY)]
+        fleet.admit(FleetJob("warm", protected.model, cell, config,
+                             assess=assess_print))
+        _drive(fleet)
+        fired = []
+        job = fleet.admit(FleetJob(
+            "late", protected.model, cell, config, assess=assess_print,
+            on_complete=lambda j: fired.append(j.job_id),
+        ))
+        assert fleet.cancel("late") is False
+        assert job.report is not None and not job.cancelled
+        _drive(fleet)
+        assert fired == ["late"]

@@ -400,10 +400,47 @@ class TestEndToEnd:
 
     def test_resubmit_after_completion_reexecutes_warm(self, flow):
         """A finished job is not joinable (its result slot may age
-        out); an identical late submission runs fresh on the warm cache
-        and reproduces the same fingerprints."""
+        out); an identical late submission is a fresh job, cut off at
+        fleet admission from the finalize memo, that still publishes
+        the same fingerprints and exact artifacts."""
         job, joined = flow.service.submit(dict(GRID), tenant="dave")
         assert not joined and job is not flow.shared
         assert job.wait(timeout=600)
         assert job.state is JobState.DONE
         assert job.result["fingerprints"] == flow.shared.result["fingerprints"]
+        assert job.result["fleet"]["cutoff_cells"] == 1
+        sys.path.insert(0, str(REPO / "scripts"))
+        try:
+            import check_run_artifacts
+        finally:
+            sys.path.pop(0)
+        assert check_run_artifacts.check(
+            job.result["trace"], job.result["manifest"], jobs=1
+        ) == []
+
+
+class TestCutoffCancelRace:
+    def test_cancel_of_job_completed_at_admission_stays_cancelled(
+        self, tmp_path
+    ):
+        """A warm job completes inside fleet admission, before the
+        dispatcher fires its callback; a cancel landing in between is
+        answered "cancelled" (the fleet no longer knows the job), so
+        the published state must be cancelled too."""
+        service = ObfuscadeService(cache_dir=tmp_path / "cache")
+        try:
+            warm, _ = service.submit(dict(GRID), tenant="a")
+            service._admit(service.queue.take(timeout=0))
+            service.fleet.run_until_idle()
+            assert warm.state is JobState.DONE
+
+            late, joined = service.submit(dict(GRID), tenant="b")
+            assert not joined
+            service._admit(service.queue.take(timeout=0))
+            assert not late.finished  # complete, callback still pending
+            assert service.cancel(late.job_id) == "cancelled"
+            assert service.fleet.step() is True
+            assert late.state is JobState.CANCELLED
+            assert not service.fleet.has_work()
+        finally:
+            service.stop()
