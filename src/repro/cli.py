@@ -471,7 +471,7 @@ def _cmd_print(args) -> int:
     artifact = simulator.build(oriented)
     print(f"machine      : {machine.name}")
     print(f"orientation  : {orientation.value}")
-    print(f"layers       : {artifact.model.shape[0]}")
+    print(f"layers       : {artifact.shape[0]}")
     print(f"model volume : {artifact.model_volume_mm3:.1f} mm^3")
     print(f"support      : {artifact.support_volume_mm3:.1f} mm^3")
     print(f"weight       : {artifact.weight_g:.2f} g (with support)")

@@ -82,8 +82,8 @@ class PartAuthenticator:
     def _check_seam(artifact: PrintedArtifact):
         """A genuine part carries the fused seam: weak-bond voxels along
         a surface, without open voids (which would mean a bad print)."""
-        n_weak = int(artifact.weak.sum())
-        n_void = int(artifact.voids.sum())
+        n_weak = artifact.voxel_count("weak")
+        n_void = artifact.voxel_count("voids")
         if n_weak == 0 and n_void == 0:
             return False, "no split-seam signature found (feature absent)"
         if n_void > 0:

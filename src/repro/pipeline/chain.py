@@ -380,6 +380,9 @@ class ProcessChain:
                     ctx.model.name,
                     ctx.resolution.name,
                     ctx.orientation,
+                    # Codec of the cached grids: entries of the earlier
+                    # flat ``np.packbits`` layout live under other keys.
+                    "rows",
                 ),
                 pack=pack_artifact,
                 unpack=unpack_artifact,

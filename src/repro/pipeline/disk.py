@@ -350,7 +350,7 @@ class DiskStageCache(StageCache):
         unpack: Optional[Callable[[Any], Any]] = None,
     ) -> Tuple[Any, bool]:
         """As :meth:`StageCache.get_or_run`; both tiers hold the packed
-        form, so packed stages also pickle eightfold smaller."""
+        form."""
         stats = self.stats.stage(stage_name)
         with obs.span("cache.get", stage=stage_name, key=key[:12]):
             if self.enabled:

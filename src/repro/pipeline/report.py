@@ -24,6 +24,7 @@ from repro.pipeline.resilience import (
     RetryPolicy,
     StageError,
 )
+from repro.printer.artifact import GRID_NAMES
 
 
 def outcome_fingerprint(outcome) -> str:
@@ -33,14 +34,17 @@ def outcome_fingerprint(outcome) -> str:
     G-code text and the firmware counters - enough that two runs with
     equal fingerprints produced the same physical print.  Arrays are
     hashed as canonical little-endian buffers (shape included), like
-    :func:`repro.mesh.content_hash.mesh_digest`.
+    :func:`repro.mesh.content_hash.mesh_digest`: each grid as its
+    unpacked ``<u1`` bytes, streamed slab by slab from the packed rows
+    so the full grid is never materialized.
     """
     h = hashlib.sha256()
     artifact = outcome.artifact
-    for grid in (artifact.model, artifact.support, artifact.weak, artifact.voids):
-        a = np.ascontiguousarray(grid, dtype="<u1")
-        h.update(np.array(a.shape, dtype="<i8").tobytes())
-        h.update(a.tobytes())
+    shape = np.array(artifact.shape, dtype="<i8").tobytes()
+    for name in GRID_NAMES:
+        h.update(shape)
+        for slab in artifact.grid_slabs(name):
+            h.update(slab.view(np.uint8))
     h.update(np.asarray(
         [artifact.cell_mm, artifact.layer_height_mm], dtype="<f8"
     ).tobytes())

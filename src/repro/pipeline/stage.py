@@ -91,10 +91,11 @@ class Stage:
         Optional codec applied at the cache boundary: ``pack`` encodes
         the artifact into a compact form for storage, ``unpack``
         restores it on a hit.  ``unpack(pack(x))`` must reproduce
-        ``x`` exactly.  Used by stages whose artifacts are large but
-        compressible (the deposit stage bit-packs its boolean voxel
-        grids eightfold), keeping a shared sweep cache from bloating
-        resident memory.
+        ``x`` exactly.  Used by stages whose artifacts hold large
+        arrays, so the disk tier stores them as mmappable segments:
+        the G-code stage exposes its move-table columns, the deposit
+        stage its already row-packed voxel grids (references, no copy,
+        so every cache tier shares the artifact's own buffers).
     produces:
         Contract over this stage's own artifact; checked against every
         fresh compute and against downstream consumers' ``expects``.

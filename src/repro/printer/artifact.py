@@ -10,8 +10,7 @@ mechanics lab turns into Table 2.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 from scipy import ndimage
@@ -28,7 +27,41 @@ class VoxelMaterial(enum.IntEnum):
     SUPPORT = 2
 
 
-@dataclass
+#: The artifact's voxel grids, in fingerprint and codec order.
+GRID_NAMES = ("model", "support", "weak", "voids")
+
+#: Unpacked bytes per slab when a grid is streamed layer by layer.
+_SLAB_BYTES = 1 << 22
+
+
+def pack_rows(grid: np.ndarray) -> np.ndarray:
+    """Row-pack a boolean ``(..., nx)`` grid: ``np.packbits`` along x.
+
+    Every ``(z, y)`` row becomes ``ceil(nx / 8)`` bytes, x = 0 in the
+    most significant bit of the first byte; the padding bits past
+    ``nx`` are always zero, so bytewise ops and popcounts stay exact.
+    """
+    return np.packbits(np.asarray(grid, dtype=bool), axis=-1)
+
+
+def unpack_rows(bits: np.ndarray, nx: int) -> np.ndarray:
+    """Inverse of :func:`pack_rows`: a fresh boolean ``(..., nx)`` grid."""
+    return np.unpackbits(bits, axis=-1, count=nx).view(bool)
+
+
+def tail_mask(nx: int) -> int:
+    """Byte mask of the valid bits in a packed row's last byte."""
+    return (0xFF << (-nx % 8)) & 0xFF
+
+
+_POPCOUNT_LUT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
+
+
+def popcount(bits: np.ndarray) -> int:
+    """Number of set bits in a packed byte array (256-entry lookup table)."""
+    return int(_POPCOUNT_LUT[bits].sum(dtype=np.int64))
+
+
 class PrintedArtifact:
     """A simulated print.
 
@@ -38,25 +71,119 @@ class PrintedArtifact:
     seam gap (bonded but at reduced strength); ``voids`` marks empty
     cells enclosed by model material (unbridged seam gaps and any other
     internal defects).
+
+    The four grids are stored row-packed (:func:`pack_rows`), an eighth
+    of a byte per voxel; the constructor takes boolean grids and
+    :meth:`from_packed` takes packed ones.  ``.model``, ``.support``,
+    ``.weak`` and ``.voids`` unpack a fresh read-only boolean grid on
+    every access, so hot paths read the packed bytes instead
+    (:meth:`voxel_count`, :meth:`packed`).  An artifact never changes
+    after construction: cache tiers share its buffers.
     """
 
-    machine: MachineProfile
-    model: np.ndarray
-    support: np.ndarray
-    weak: np.ndarray
-    voids: np.ndarray
-    cell_mm: float
-    layer_height_mm: float
-    origin: np.ndarray  # (x0, y0) of cell [:, 0, 0]
-    seam: Optional[SeamReport] = None
-    metadata: Dict[str, object] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        shapes = {self.model.shape, self.support.shape, self.weak.shape, self.voids.shape}
+    def __init__(
+        self,
+        machine: MachineProfile,
+        model: np.ndarray,
+        support: np.ndarray,
+        weak: np.ndarray,
+        voids: np.ndarray,
+        cell_mm: float,
+        layer_height_mm: float,
+        origin: np.ndarray,
+        seam: Optional[SeamReport] = None,
+        metadata: Optional[Dict[str, object]] = None,
+    ):
+        grids = dict(zip(GRID_NAMES, (model, support, weak, voids)))
+        shapes = {np.shape(grid) for grid in grids.values()}
         if len(shapes) != 1:
             raise ValueError("all artifact grids must share one shape")
-        if self.model.ndim != 3:
+        shape = shapes.pop()
+        if len(shape) != 3:
             raise ValueError("artifact grids must be 3D (nz, ny, nx)")
+        self._init(machine, shape, {k: pack_rows(g) for k, g in grids.items()},
+                   cell_mm, layer_height_mm, origin, seam, metadata)
+
+    @classmethod
+    def from_packed(
+        cls,
+        machine: MachineProfile,
+        shape: Tuple[int, int, int],
+        grids: Dict[str, np.ndarray],
+        cell_mm: float,
+        layer_height_mm: float,
+        origin: np.ndarray,
+        seam: Optional[SeamReport] = None,
+        metadata: Optional[Dict[str, object]] = None,
+    ) -> "PrintedArtifact":
+        """Build an artifact around row-packed grids, without copying."""
+        shape = tuple(int(n) for n in shape)
+        if len(shape) != 3:
+            raise ValueError("artifact grids must be 3D (nz, ny, nx)")
+        nz, ny, nx = shape
+        rows = (nz, ny, (nx + 7) // 8)
+        pad = ~tail_mask(nx) & 0xFF
+        for name in GRID_NAMES:
+            bits = grids[name]
+            if bits.shape != rows or bits.dtype != np.uint8:
+                raise ValueError(
+                    f"packed {name} grid must be uint8 {rows}, "
+                    f"got {bits.dtype} {bits.shape}"
+                )
+            if pad and bits.size and (bits[..., -1] & pad).any():
+                raise ValueError(f"packed {name} grid has padding bits set")
+        artifact = cls.__new__(cls)
+        artifact._init(machine, shape, {k: grids[k] for k in GRID_NAMES},
+                       cell_mm, layer_height_mm, origin, seam, metadata)
+        return artifact
+
+    def _init(self, machine, shape, bits, cell_mm, layer_height_mm, origin,
+              seam, metadata) -> None:
+        for array in bits.values():
+            array.flags.writeable = False
+        self.machine = machine
+        #: ``(nz, ny, nx)`` of every grid.
+        self.shape: Tuple[int, int, int] = tuple(shape)
+        self._bits = bits
+        self.cell_mm = cell_mm
+        self.layer_height_mm = layer_height_mm
+        self.origin = origin  # (x0, y0) of cell [:, 0, 0]
+        self.seam = seam
+        self.metadata: Dict[str, object] = metadata if metadata is not None else {}
+
+    # -- grids ----------------------------------------------------------------
+
+    def packed(self, name: str) -> np.ndarray:
+        """The row-packed ``(nz, ny, ceil(nx / 8))`` bytes of one grid."""
+        return self._bits[name]
+
+    def grid(self, name: str) -> np.ndarray:
+        """One grid unpacked to a fresh read-only boolean array."""
+        out = unpack_rows(self._bits[name], self.shape[2])
+        out.flags.writeable = False
+        return out
+
+    def grid_slabs(self, name: str) -> Iterator[np.ndarray]:
+        """One grid as consecutive boolean z-slabs of bounded size.
+
+        Concatenated along z the slabs are :meth:`grid`; a consumer
+        that streams them (the outcome fingerprint) never holds more
+        than a few MB unpacked.
+        """
+        nz, ny, nx = self.shape
+        step = max(1, _SLAB_BYTES // max(1, ny * nx))
+        bits = self._bits[name]
+        for z in range(0, nz, step):
+            yield unpack_rows(bits[z:z + step], nx)
+
+    def voxel_count(self, name: str) -> int:
+        """Set voxels of one grid, counted on the packed bytes."""
+        return popcount(self._bits[name])
+
+    model = property(lambda self: self.grid("model"))
+    support = property(lambda self: self.grid("support"))
+    weak = property(lambda self: self.grid("weak"))
+    voids = property(lambda self: self.grid("voids"))
 
     # -- volumes and mass -------------------------------------------------
 
@@ -66,11 +193,11 @@ class PrintedArtifact:
 
     @property
     def model_volume_mm3(self) -> float:
-        return float(self.model.sum()) * self.voxel_volume_mm3
+        return float(self.voxel_count("model")) * self.voxel_volume_mm3
 
     @property
     def support_volume_mm3(self) -> float:
-        return float(self.support.sum()) * self.voxel_volume_mm3
+        return float(self.voxel_count("support")) * self.voxel_volume_mm3
 
     @property
     def weight_g(self) -> float:
@@ -81,16 +208,19 @@ class PrintedArtifact:
 
     @property
     def void_volume_mm3(self) -> float:
-        return float(self.voids.sum()) * self.voxel_volume_mm3
+        return float(self.voxel_count("voids")) * self.voxel_volume_mm3
 
     @property
     def porosity(self) -> float:
         """Internal void volume over (model + void) volume."""
-        solid = float(self.model.sum())
-        hollow = float(self.voids.sum())
+        solid = float(self.voxel_count("model"))
+        hollow = float(self.voxel_count("voids"))
         return hollow / (solid + hollow) if (solid + hollow) > 0 else 0.0
 
     # -- queries ------------------------------------------------------------
+
+    def _bit(self, name: str, iz: int, iy: int, ix: int) -> bool:
+        return bool((self._bits[name][iz, iy, ix >> 3] >> (7 - (ix & 7))) & 1)
 
     def material_at(self, point: np.ndarray) -> VoxelMaterial:
         """Material at a build-space point (x, y, z in mm)."""
@@ -98,31 +228,33 @@ class PrintedArtifact:
         ix = int(np.floor((p[0] - self.origin[0]) / self.cell_mm))
         iy = int(np.floor((p[1] - self.origin[1]) / self.cell_mm))
         iz = int(np.floor(p[2] / self.layer_height_mm))
-        nz, ny, nx = self.model.shape
+        nz, ny, nx = self.shape
         if not (0 <= ix < nx and 0 <= iy < ny and 0 <= iz < nz):
             return VoxelMaterial.EMPTY
-        if self.model[iz, iy, ix]:
+        if self._bit("model", iz, iy, ix):
             return VoxelMaterial.MODEL
-        if self.support[iz, iy, ix]:
+        if self._bit("support", iz, iy, ix):
             return VoxelMaterial.SUPPORT
         return VoxelMaterial.EMPTY
 
     def region_fractions(self, mask: np.ndarray) -> Dict[VoxelMaterial, float]:
         """Material fractions within a boolean voxel mask."""
-        total = int(mask.sum())
+        mask_bits = pack_rows(np.broadcast_to(mask, self.shape))
+        total = popcount(mask_bits)
         if total == 0:
             return {m: 0.0 for m in VoxelMaterial}
+        model, support = self._bits["model"], self._bits["support"]
         return {
-            VoxelMaterial.MODEL: float((self.model & mask).sum()) / total,
-            VoxelMaterial.SUPPORT: float((self.support & mask).sum()) / total,
+            VoxelMaterial.MODEL: float(popcount(model & mask_bits)) / total,
+            VoxelMaterial.SUPPORT: float(popcount(support & mask_bits)) / total,
             VoxelMaterial.EMPTY: float(
-                (~self.model & ~self.support & mask).sum()
+                popcount(mask_bits & ~(model | support))
             ) / total,
         }
 
     def sphere_mask(self, center: np.ndarray, radius: float, shrink: float = 0.85) -> np.ndarray:
         """Voxel mask of a sphere region (slightly shrunk to avoid the shell)."""
-        nz, ny, nx = self.model.shape
+        nz, ny, nx = self.shape
         zs = (np.arange(nz) + 0.5) * self.layer_height_mm
         ys = self.origin[1] + (np.arange(ny) + 0.5) * self.cell_mm
         xs = self.origin[0] + (np.arange(nx) + 0.5) * self.cell_mm
@@ -143,27 +275,33 @@ class PrintedArtifact:
 
         ``axis='y'`` cuts the part in half the way Fig. 10c/d saws the
         printed prism.  Returns an int array of ``VoxelMaterial`` values.
+        Only the requested slice is unpacked.
         """
-        nz, ny, nx = self.model.shape
-        codes = np.zeros(self.model.shape, dtype=np.int8)
-        codes[self.support] = int(VoxelMaterial.SUPPORT)
-        codes[self.model] = int(VoxelMaterial.MODEL)
+        nz, ny, nx = self.shape
         if axis == "y":
             iy = ny // 2 if position is None else int(
                 np.clip((position - self.origin[1]) / self.cell_mm, 0, ny - 1)
             )
-            return codes[:, iy, :]
-        if axis == "x":
+            cut = {k: unpack_rows(self._bits[k][:, iy, :], nx) for k in ("model", "support")}
+        elif axis == "x":
             ix = nx // 2 if position is None else int(
                 np.clip((position - self.origin[0]) / self.cell_mm, 0, nx - 1)
             )
-            return codes[:, :, ix]
-        if axis == "z":
+            cut = {
+                k: ((self._bits[k][:, :, ix >> 3] >> (7 - (ix & 7))) & 1).view(bool)
+                for k in ("model", "support")
+            }
+        elif axis == "z":
             iz = nz // 2 if position is None else int(
                 np.clip(position / self.layer_height_mm, 0, nz - 1)
             )
-            return codes[iz]
-        raise ValueError("axis must be 'x', 'y' or 'z'")
+            cut = {k: unpack_rows(self._bits[k][iz], nx) for k in ("model", "support")}
+        else:
+            raise ValueError("axis must be 'x', 'y' or 'z'")
+        codes = np.zeros(cut["model"].shape, dtype=np.int8)
+        codes[cut["support"]] = int(VoxelMaterial.SUPPORT)
+        codes[cut["model"]] = int(VoxelMaterial.MODEL)
+        return codes
 
     def section_ascii(self, axis: str = "y", position: Optional[float] = None, max_width: int = 100) -> str:
         """ASCII rendering of a cut section ('#': model, 's': support)."""
@@ -181,12 +319,10 @@ class PrintedArtifact:
             raise ValueError(
                 f"{self.machine.support_material.name} support is not soluble"
             )
-        return PrintedArtifact(
+        return PrintedArtifact.from_packed(
             machine=self.machine,
-            model=self.model.copy(),
-            support=np.zeros_like(self.support),
-            weak=self.weak.copy(),
-            voids=self.voids.copy(),
+            shape=self.shape,
+            grids=dict(self._bits, support=np.zeros_like(self._bits["support"])),
             cell_mm=self.cell_mm,
             layer_height_mm=self.layer_height_mm,
             origin=self.origin.copy(),
@@ -198,12 +334,30 @@ class PrintedArtifact:
 
     @property
     def surface_disruption_area_mm2(self) -> float:
-        """Area of unbridged seam voids that reach the artifact surface."""
-        if not self.voids.any():
+        """Area of unbridged seam voids that reach the artifact surface.
+
+        A void voxel counts when it or one of its 6 neighbours is
+        exterior background (``voids & dilate6(exterior)``).  Only the
+        void voxels are probed, so the background labelling is the one
+        full-volume array this allocates.
+        """
+        if not self.voxel_count("voids"):
             return 0.0
-        solid = self.model | self.support
-        surface_touch = self.voids & _dilate6(_exterior_mask(solid))
-        return float(surface_touch.sum()) * self.cell_mm * self.cell_mm
+        coords = np.nonzero(self.grid("voids"))
+        labels, outside = _exterior_labels(
+            unpack_rows(self._bits["model"] | self._bits["support"], self.shape[2])
+        )
+        touch = outside[labels[coords]]
+        for axis, n in enumerate(self.shape):
+            for step in (-1, 1):
+                moved = coords[axis] + step
+                inside = (moved >= 0) & (moved < n)
+                probe = tuple(
+                    moved[inside] if i == axis else c[inside]
+                    for i, c in enumerate(coords)
+                )
+                touch[inside] |= outside[labels[probe]]
+        return float(np.count_nonzero(touch)) * self.cell_mm * self.cell_mm
 
     @property
     def has_visible_seam(self) -> bool:
@@ -213,24 +367,18 @@ class PrintedArtifact:
         return self.void_volume_mm3 > 0.0
 
 
-#: Grid attributes bit-packed by the cache codec.
-_PACKED_GRIDS = ("model", "support", "weak", "voids")
-
-
 def pack_artifact(artifact: "PrintedArtifact") -> Dict[str, object]:
-    """Encode an artifact with its boolean grids bit-packed (8x smaller).
+    """Cache-boundary codec for the deposit stage.
 
-    Cache-boundary codec for the deposit stage (see
-    :class:`~repro.pipeline.stage.Stage`): a sweep that retains many
-    printed artifacts holds packed bytes instead of one byte per voxel.
-    ``unpack_artifact`` restores an exactly equal artifact.
+    The artifact already holds its grids row-packed, so encoding only
+    gathers references: the memory tier, the decoded memo and the disk
+    segments all hold the same buffers (see
+    :class:`~repro.pipeline.stage.Stage`).  ``unpack_artifact``
+    restores an exactly equal artifact.
     """
-    shape = artifact.model.shape
     return {
-        "grids": {
-            name: np.packbits(getattr(artifact, name)) for name in _PACKED_GRIDS
-        },
-        "shape": shape,
+        "grids": {name: artifact.packed(name) for name in GRID_NAMES},
+        "shape": artifact.shape,
         "machine": artifact.machine,
         "cell_mm": artifact.cell_mm,
         "layer_height_mm": artifact.layer_height_mm,
@@ -242,50 +390,35 @@ def pack_artifact(artifact: "PrintedArtifact") -> Dict[str, object]:
 
 def unpack_artifact(packed: Dict[str, object]) -> "PrintedArtifact":
     """Decode :func:`pack_artifact` output back into an artifact."""
-    shape = packed["shape"]
-    count = int(np.prod(shape))
-    grids = {
-        name: np.unpackbits(bits, count=count).reshape(shape).view(bool)
-        for name, bits in packed["grids"].items()
-    }
-    return PrintedArtifact(
+    return PrintedArtifact.from_packed(
         machine=packed["machine"],
+        shape=packed["shape"],
+        grids=packed["grids"],
         cell_mm=packed["cell_mm"],
         layer_height_mm=packed["layer_height_mm"],
         origin=packed["origin"],
         seam=packed["seam"],
         metadata=packed["metadata"],
-        **grids,
     )
 
 
-def _exterior_mask(solid: np.ndarray) -> np.ndarray:
-    """Background voxels reachable from outside the grid.
+def _exterior_labels(solid: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """6-connected background labels of ``solid`` and which are exterior.
 
-    Equivalent to ``~ndimage.binary_fill_holes(solid)`` (6-connected):
-    label the background once and keep the components whose label shows
-    up on any face of the volume - cheaper than the erosion-based
-    flood fill on multi-million-voxel grids.
+    ``outside[labels]`` is ``~ndimage.binary_fill_holes(solid)``: the
+    background components whose label shows up on a face of the volume
+    (label 0, the solid itself, is not).  ``solid`` is consumed (it is
+    inverted in place to the background mask).
     """
-    background, n_labels = ndimage.label(~solid)
+    background = np.logical_not(solid, out=solid)
+    labels, n_labels = ndimage.label(background)
+    del background, solid
     outside = np.zeros(n_labels + 1, dtype=bool)
     for face in (
-        background[0], background[-1],
-        background[:, 0], background[:, -1],
-        background[:, :, 0], background[:, :, -1],
+        labels[0], labels[-1],
+        labels[:, 0], labels[:, -1],
+        labels[:, :, 0], labels[:, :, -1],
     ):
         outside[np.unique(face)] = True
-    outside[0] = False  # label 0 is the solid itself
-    return outside[background]
-
-
-def _dilate6(a: np.ndarray) -> np.ndarray:
-    """One 6-connected binary dilation (``ndimage.binary_dilation``)."""
-    out = a.copy()
-    out[1:] |= a[:-1]
-    out[:-1] |= a[1:]
-    out[:, 1:] |= a[:, :-1]
-    out[:, :-1] |= a[:, 1:]
-    out[:, :, 1:] |= a[:, :, :-1]
-    out[:, :, :-1] |= a[:, :, 1:]
-    return out
+    outside[0] = False
+    return labels, outside

@@ -17,13 +17,17 @@ import numpy as np
 from scipy import ndimage
 
 from repro.mesh.trimesh import TriangleMesh
-from repro.printer.artifact import PrintedArtifact
+from repro.printer.artifact import (
+    PrintedArtifact,
+    pack_rows,
+    tail_mask,
+    unpack_rows,
+)
 from repro.printer.machines import MachineProfile
 from repro.slicer.raster import rasterize_stack
 from repro.slicer.seams import SeamReport
 from repro.slicer.settings import SlicerSettings
 from repro.slicer.slicer import slice_mesh
-from repro.slicer.support import support_columns
 
 
 class DepositionSimulator:
@@ -82,19 +86,19 @@ class DepositionSimulator:
         raw = rasterize_stack(
             [layer.contours for layer in slices.layers], lo, nx, ny, cell
         )
-
+        shape = raw.shape
         model, weak, voids = self._apply_bead_merge(raw, cell)
+        del raw
         support = (
             support_columns(model)
             if self.settings.support == "smart"
             else np.zeros_like(model)
         )
-        return PrintedArtifact(
+        return PrintedArtifact.from_packed(
             machine=self.machine,
-            model=model,
-            support=support,
-            weak=weak,
-            voids=voids,
+            shape=shape,
+            grids={"model": model, "support": support, "weak": weak,
+                   "voids": voids},
             cell_mm=cell,
             layer_height_mm=self.settings.layer_height_mm,
             origin=lo,
@@ -110,23 +114,27 @@ class DepositionSimulator:
         beads fuse); the bridged cells are *weak*.  Whatever internal
         gap remains open after closing is a *void* (an unfused seam).
 
+        ``raw`` is packed by row first and every grid stays packed from
+        there on (see :func:`~repro.printer.artifact.pack_rows`).
         Identical layers (an extruded part rasterizes to one repeated
-        cross-section) are morphed once and broadcast back, and the
-        closing/fill themselves run as whole-stack boolean shift
-        kernels (:func:`_cross_closing`, :func:`_fill_holes_stack`)
-        that are exact replacements for per-layer
+        cross-section) are morphed once and broadcast back.  The
+        closing runs as bit shifts on packed rows
+        (:func:`_packed_closing`) and the hole fill on bounded unpacked
+        slabs (:func:`_packed_holes`), exact replacements for per-layer
         ``ndimage.binary_closing`` / ``binary_fill_holes`` with the
         4-connected structure - asserted in the deposition tests.
+        Returns the packed ``(model, weak, voids)``.
         """
         iterations = max(int(round(self.settings.merge_gap_mm / (2.0 * cell))), 1)
-        if raw.size == 0 or not raw.any():
-            return raw.copy(), np.zeros_like(raw), np.zeros_like(raw)
-        first, inverse = _unique_layers(raw)
-        unique = np.ascontiguousarray(raw[first])
-        closed_unique = _cross_closing(unique, iterations)
-        voids_unique = _fill_holes_stack(closed_unique) & ~closed_unique
+        nx = raw.shape[2]
+        raw_bits = pack_rows(raw)
+        if not raw_bits.any():
+            return raw_bits, np.zeros_like(raw_bits), np.zeros_like(raw_bits)
+        first, inverse = _unique_layers(raw_bits)
+        closed_unique = _packed_closing(raw_bits[first], nx, iterations)
+        voids_unique = _packed_holes(closed_unique, nx)
         model = closed_unique[inverse]
-        weak = model & ~raw
+        weak = model & ~raw_bits
         voids = voids_unique[inverse]
         return model, weak, voids
 
@@ -134,18 +142,17 @@ class DepositionSimulator:
 def _unique_layers(stack: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Indices of first-occurrence layers plus the layer -> unique map.
 
-    Each layer is bit-packed to one row of bytes (8x shorter than the
-    bool layer) and a dict maps the row's bytes to the index of its
-    first occurrence - exact, and the same ``(first, inverse)`` as the
-    scalar oracle :func:`_unique_layers_loop`.  ``np.unique(axis=0)`` is
-    not used: it views each row as a structured dtype with one field per
-    byte, and on real layer widths (~110 KB rows) that sort costs ~1 s
-    per stack where hashing the rows costs milliseconds.
+    A dict maps each layer's bytes to the index of its first occurrence
+    - exact, and the same ``(first, inverse)`` as the scalar oracle
+    :func:`_unique_layers_loop`.  The deposit passes the row-packed
+    stack, so a key is 8x shorter than the bool layer.
+    ``np.unique(axis=0)`` is not used: it views each row as a
+    structured dtype with one field per byte, and on real layer widths
+    (~110 KB rows) that sort costs ~1 s per stack where hashing the
+    rows costs milliseconds.
     """
     nz = stack.shape[0]
-    keys = np.packbits(
-        np.ascontiguousarray(stack, dtype=bool).reshape(nz, -1), axis=1
-    )
+    keys = np.ascontiguousarray(stack).reshape(nz, -1)
     seen: Dict[bytes, int] = {}
     first = []
     inverse = np.empty(nz, dtype=np.intp)
@@ -200,9 +207,8 @@ def _cross_closing(stack: np.ndarray, iterations: int) -> np.ndarray:
 
     Equivalent to ``ndimage.binary_closing(layer, <4-connected cross>,
     iterations)`` per layer: iterated cross dilation then erosion, with
-    the array border treated as background throughout.  Pure boolean
-    slice arithmetic - an order of magnitude faster than the generic
-    structuring-element walker on big stacks.
+    the array border treated as background throughout.  The boolean
+    oracle of :func:`_packed_closing`, which the deposit runs.
     """
     out = stack
     for _ in range(iterations):
@@ -237,3 +243,83 @@ def _fill_holes_stack(stack: np.ndarray) -> np.ndarray:
         outside[np.unique(edge)] = True
     outside[0] = True  # label 0 is the foreground itself
     return stack | ~outside[background]
+
+
+def _shift_in_lower(bits: np.ndarray) -> np.ndarray:
+    """Packed rows where each x holds the bit at ``x - 1`` (0 at x = 0).
+
+    Bits run MSB-first, so moving to higher x is a right shift that
+    carries each byte's low bit into the next byte's high bit.
+    """
+    out = bits >> 1
+    out[..., 1:] |= bits[..., :-1] << 7
+    return out
+
+
+def _shift_in_higher(bits: np.ndarray) -> np.ndarray:
+    """Packed rows where each x holds the bit at ``x + 1``.
+
+    The last valid x reads the zero padding (or nothing), i.e. the
+    border is background.
+    """
+    out = bits << 1
+    out[..., :-1] |= bits[..., 1:] >> 7
+    return out
+
+
+def _packed_closing(bits: np.ndarray, nx: int, iterations: int) -> np.ndarray:
+    """:func:`_cross_closing` on row-packed layers (``nx`` valid bits).
+
+    y neighbours are whole byte rows; x neighbours are the bit shifts
+    with carry above.  Dilation masks the bit it shifts into the
+    padding; erosion against zero-filled shifts clears the border by
+    itself, as the oracle does explicitly.
+    """
+    tail = tail_mask(nx)
+    out = bits
+    for _ in range(iterations):
+        a = out
+        out = a | _shift_in_lower(a) | _shift_in_higher(a)
+        out[:, 1:, :] |= a[:, :-1, :]
+        out[:, :-1, :] |= a[:, 1:, :]
+        out[..., -1] &= tail
+    for _ in range(iterations):
+        a = out
+        out = a & _shift_in_lower(a) & _shift_in_higher(a)
+        out[:, 1:, :] &= a[:, :-1, :]
+        out[:, :-1, :] &= a[:, 1:, :]
+        out[:, 0, :] = 0
+        out[:, -1, :] = 0
+    return out
+
+
+#: Unpacked voxels per slab of the hole fill (its int32 labels are 4x).
+_FILL_SLAB_VOXELS = 1 << 22
+
+
+def _packed_holes(bits: np.ndarray, nx: int) -> np.ndarray:
+    """Enclosed background of every packed layer, packed.
+
+    ``_fill_holes_stack(layer) & ~layer`` per layer.  The fill structure
+    never connects layers, so it runs on unpacked slabs of whole layers
+    bounded by ``_FILL_SLAB_VOXELS``, never on the whole stack.
+    """
+    nz, ny, _ = bits.shape
+    step = max(1, _FILL_SLAB_VOXELS // max(1, ny * nx))
+    out = np.empty_like(bits)
+    for z in range(0, nz, step):
+        layers = unpack_rows(bits[z:z + step], nx)
+        out[z:z + step] = pack_rows(_fill_holes_stack(layers) & ~layers)
+    return out
+
+
+def support_columns(model_bits: np.ndarray) -> np.ndarray:
+    """:func:`repro.slicer.support.support_columns` on row-packed grids.
+
+    The column rule (empty, with model somewhere above) acts on each
+    bit independently, so it runs on the packed bytes as they are: a
+    reverse cumulative OR over z.  Padding stays zero.
+    """
+    above = np.zeros_like(model_bits)
+    above[:-1] = np.bitwise_or.accumulate(model_bits[:0:-1], axis=0)[::-1]
+    return above & ~model_bits

@@ -26,6 +26,28 @@ def make_artifact(nz=4, ny=10, nx=10, cell=0.5, layer=0.5, machine=DIMENSION_ELI
     )
 
 
+def with_cells(artifact, **cells):
+    """A copy of ``artifact`` with single cells of its grids overwritten.
+
+    ``cells`` maps a grid name to ``(index, value)``; artifacts are
+    immutable, so tests build the edited artifact instead of mutating.
+    """
+    grids = {}
+    for name in ("model", "support", "weak", "voids"):
+        grid = getattr(artifact, name).copy()
+        if name in cells:
+            index, value = cells[name]
+            grid[index] = value
+        grids[name] = grid
+    return PrintedArtifact(
+        machine=artifact.machine,
+        cell_mm=artifact.cell_mm,
+        layer_height_mm=artifact.layer_height_mm,
+        origin=artifact.origin,
+        **grids,
+    )
+
+
 class TestVolumes:
     def test_model_volume(self):
         a = make_artifact()
@@ -39,16 +61,13 @@ class TestVolumes:
 
     def test_weight_includes_support(self):
         a = make_artifact()
-        a.support[:, 0, 0] = True
-        heavier = a.weight_g
-        a.support[:, 0, 0] = False
+        heavier = with_cells(a, support=((slice(None), 0, 0), True)).weight_g
         assert heavier > a.weight_g
 
     def test_porosity(self):
         a = make_artifact()
         assert a.porosity == 0.0
-        a.voids[0, 3, 3] = True
-        a.model[0, 3, 3] = False
+        a = with_cells(a, voids=((0, 3, 3), True), model=((0, 3, 3), False))
         assert a.porosity > 0
 
 
@@ -60,8 +79,7 @@ class TestQueries:
         assert a.material_at(np.array([100, 100, 100])) is VoxelMaterial.EMPTY
 
     def test_material_at_support(self):
-        a = make_artifact()
-        a.support[0, 0, 0] = True
+        a = with_cells(make_artifact(), support=((0, 0, 0), True))
         assert a.material_at(np.array([0.1, 0.1, 0.1])) is VoxelMaterial.SUPPORT
 
     def test_region_fractions_sum_to_one(self):
@@ -109,8 +127,8 @@ class TestSections:
 
 class TestWashing:
     def test_wash_removes_support(self):
-        a = make_artifact()
-        a.support[:, 0, 0] = True
+        a = with_cells(make_artifact(), support=((slice(None), 0, 0), True))
+        assert a.support_volume_mm3 > 0.0
         washed = a.washed()
         assert washed.support_volume_mm3 == 0.0
         assert np.isclose(washed.model_volume_mm3, a.model_volume_mm3)
