@@ -137,14 +137,6 @@ def _sweep_executor_parent() -> argparse.ArgumentParser:
         "recovery); requires --journal or --cache-dir",
     )
     parent.add_argument(
-        "--shm",
-        action="store_true",
-        help="share cache .npy segments between workers through POSIX "
-        "shared memory (one physical mapping per machine instead of "
-        "one per process; segments are digest-verified on attach and "
-        "reaped on pool rebuilds and at run end)",
-    )
-    parent.add_argument(
         "--stats",
         action="store_true",
         help="print per-stage timings, cache hit rates, scheduler "
@@ -194,12 +186,6 @@ def _validate_executor_args(args):
         if args.max_retries
         else None
     )
-    if getattr(args, "shm", False):
-        # Workers inherit the environment, so flipping the switch here
-        # enables the tier in the whole pool.
-        from repro.pipeline import shm as shm_tier
-
-        os.environ[shm_tier.SHM_ENV] = "1"
     return cache_dir, journal, retry
 
 
@@ -234,7 +220,6 @@ def _write_sweep_manifest(
         "keep_going": args.keep_going,
         "resume": args.resume,
         "dedupe": True,
-        "shm": bool(getattr(args, "shm", False)),
     }
     config.update(extra_config or {})
     doc = manifest_mod.sweep_manifest(
@@ -729,9 +714,7 @@ def _cmd_serve(args) -> int:
     print(f"cache: {cache_dir}")
     print(f"runs : {service.out_dir}")
     print("endpoints: POST /v1/jobs; GET /v1/jobs/<id>[/result?wait=S], "
-          "/v1/healthz, /v1/metrics; DELETE /v1/jobs/<id> "
-          "(legacy /submit, /status, /result answer with a "
-          "Deprecation header)")
+          "/v1/healthz, /v1/metrics; DELETE /v1/jobs/<id>")
     try:
         server.serve_forever()
     except KeyboardInterrupt:

@@ -1,11 +1,10 @@
 """One boolean parser for every ``OBFUSCADE_*`` environment switch.
 
-The repo grew environment toggles one at a time (``OBFUSCADE_SHM``,
-``OBFUSCADE_FAULTS``, ``OBFUSCADE_BENCH_SMOKE``), and each invented its
-own truthiness test.  The worst of them treated *any* value except
-``""``/``"0"`` as on - so ``OBFUSCADE_SHM=false`` silently enabled the
-shared-memory tier (ISSUE 9 bugfix).  All switches now parse through
-:func:`env_flag`:
+The repo grew environment toggles one at a time (``OBFUSCADE_FAULTS``,
+``OBFUSCADE_BENCH_SMOKE``), and each invented its own truthiness test.
+The worst of them treated *any* value except ``""``/``"0"`` as on - so
+``OBFUSCADE_FAULTS=false`` left fault injection armed.  All switches
+now parse through :func:`env_flag`:
 
 * ``1`` / ``true`` / ``yes`` / ``on``  -> ``True``
 * ``0`` / ``false`` / ``no`` / ``off`` -> ``False``
@@ -37,8 +36,7 @@ class EnvFlagWarning(UserWarning):
 
 
 #: (name, raw value) pairs already warned about - a switch read on a
-#: hot path (every cache construction) must not spam one warning per
-#: read.
+#: hot path (every fault site) must not spam one warning per read.
 _warned: Set[Tuple[str, str]] = set()
 
 

@@ -21,10 +21,9 @@ import hashlib
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import observability as obs
-from repro.pipeline.resilience import PipelineConfigError
 
 
 def digest_parts(*parts: Any) -> str:
@@ -247,10 +246,8 @@ class StageCache:
     enabled:
         When False the cache never stores or returns artifacts but
         still accounts timings - useful as a cold-path baseline.
-    max_entries:
-        Optional bound on stored artifacts; the least recently *used*
-        entry is evicted first.  ``None`` (default) means unbounded,
-        which is right for one sweep's working set.
+        The artifact store is unbounded: it holds one sweep's (or one
+        fleet's) working set.
     """
 
     #: Decoded-value working set kept per cache: repeated hits on a
@@ -261,11 +258,8 @@ class StageCache:
     #: Bound on memoized derived products (fingerprints, assessments).
     DERIVED_MAX_ENTRIES = 512
 
-    def __init__(self, enabled: bool = True, max_entries: Optional[int] = None):
-        if max_entries is not None and max_entries <= 0:
-            raise PipelineConfigError("max_entries must be positive or None")
+    def __init__(self, enabled: bool = True):
         self.enabled = enabled
-        self.max_entries = max_entries
         self._entries: "OrderedDict[str, Any]" = OrderedDict()
         self._decoded: "OrderedDict[str, Any]" = OrderedDict()
         self._derived: "OrderedDict[str, Any]" = OrderedDict()
@@ -393,9 +387,6 @@ class StageCache:
                 self._entries[key] = pack(value) if pack is not None else value
                 if pack is not None:
                     self._remember_decoded(key, value)
-                if self.max_entries is not None:
-                    while len(self._entries) > self.max_entries:
-                        self._entries.popitem(last=False)
             return value, False
 
 

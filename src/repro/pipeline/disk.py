@@ -52,7 +52,6 @@ from typing import Any, Callable, Dict, Optional, Tuple
 from repro import faults
 from repro import observability as obs
 from repro.pipeline import payload
-from repro.pipeline import shm as shm_tier
 from repro.pipeline.cache import StageCache
 from repro.pipeline.resilience import CacheIntegrityError
 from repro.supplychain.integrity import file_digest
@@ -75,30 +74,16 @@ class DiskStageCache(StageCache):
         Cache directory; created if missing.  Safe to share between
         processes and across runs - keys are content digests, so stale
         entries are simply never addressed again.
-    enabled / max_entries:
-        As in :class:`StageCache`; ``max_entries`` bounds only the
-        in-memory tier, the disk tier is unbounded.
+    enabled:
+        As in :class:`StageCache`.
     """
 
-    def __init__(
-        self,
-        root: os.PathLike,
-        enabled: bool = True,
-        max_entries: Optional[int] = None,
-    ):
-        super().__init__(enabled=enabled, max_entries=max_entries)
+    def __init__(self, root: os.PathLike, enabled: bool = True):
+        super().__init__(enabled=enabled)
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         #: Per-stage count of hits served from disk (not memory).
         self.disk_hits: Dict[str, int] = {}
-        #: Optional shared-memory segment tier (``OBFUSCADE_SHM=1``):
-        #: the first process to read a segment publishes it; others
-        #: attach the same physical pages instead of re-mapping disk.
-        self._shm = (
-            shm_tier.SharedSegmentStore(self.root / shm_tier.REGISTRY_NAME)
-            if shm_tier.shm_enabled()
-            else None
-        )
 
     def _path(self, stage_name: str, key: str) -> Path:
         return self.root / stage_name / f"{key}.pkl"
@@ -176,25 +161,15 @@ class DiskStageCache(StageCache):
                 raise CacheIntegrityError(
                     str(seg), "segment digest sidecar missing"
                 ) from exc
-            array = None
-            if self._shm is not None:
-                # Shared tier first: attach verifies block bytes against
-                # the same digest the sidecar carries, so a poisoned
-                # block degrades to the disk path, never gets served.
-                array = self._shm.attach(expected)
-            if array is None:
-                actual = payload.hash_file(seg)
-                if actual != expected:
-                    raise CacheIntegrityError(
-                        str(seg),
-                        f"segment sha256 mismatch "
-                        f"(expected {expected[:12]}..., "
-                        f"got {actual[:12]}...)",
-                    )
-                if self._shm is not None:
-                    array = self._shm.publish(expected, seg.read_bytes())
-                if array is None:
-                    array = payload.load_npy_mmap(seg)
+            actual = payload.hash_file(seg)
+            if actual != expected:
+                raise CacheIntegrityError(
+                    str(seg),
+                    f"segment sha256 mismatch "
+                    f"(expected {expected[:12]}..., "
+                    f"got {actual[:12]}...)",
+                )
+            array = payload.load_npy_mmap(seg)
             mapped += array.nbytes
             arrays.append(array)
         self.stats.mmap_bytes += mapped
@@ -337,7 +312,7 @@ class DiskStageCache(StageCache):
             if not found:
                 obs.annotate(hit=False)
                 return None, False
-            self._remember(key, stored)
+            self._entries[key] = stored
             obs.annotate(hit=True)
             return self._decode(key, stored, unpack), True
 
@@ -369,7 +344,7 @@ class DiskStageCache(StageCache):
                     if stats.misses:
                         stats.saved_s += stats.run_s / stats.misses
                     obs.annotate(hit=True, tier="disk")
-                    self._remember(key, stored)
+                    self._entries[key] = stored
                     return self._decode(key, stored, unpack), True
 
             start = time.perf_counter()
@@ -380,17 +355,11 @@ class DiskStageCache(StageCache):
             obs.annotate(hit=False, tier="compute", run_s=elapsed)
             if self.enabled:
                 stored = pack(value) if pack is not None else value
-                self._remember(key, stored)
+                self._entries[key] = stored
                 if pack is not None:
                     self._remember_decoded(key, value)
                 self._store(stage_name, key, stored)
             return value, False
-
-    def _remember(self, key: str, value: Any) -> None:
-        self._entries[key] = value
-        if self.max_entries is not None:
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
 
     # -- shared roots (handle-passing) --------------------------------------
 
@@ -404,7 +373,7 @@ class DiskStageCache(StageCache):
         """
         if not self.enabled:
             return False
-        self._remember(key, value)
+        self._entries[key] = value
         if (self.root / ROOTS_STAGE / f"{key}.pkl").exists():
             return True
         return self._store(ROOTS_STAGE, key, value)

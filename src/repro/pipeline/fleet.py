@@ -65,12 +65,10 @@ import time
 from concurrent.futures import FIRST_COMPLETED, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
-from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import observability as obs
 from repro.mesh.content_hash import model_digest
-from repro.pipeline import shm as shm_tier
 from repro.pipeline.cache import CacheStats, StageCache
 from repro.pipeline.chain import ChainContext
 from repro.pipeline.disk import DiskStageCache
@@ -1044,13 +1042,6 @@ class FleetScheduler:
                 with self._lock:
                     self._requeue(entry)
         self._inflight.clear()
-        if shm_tier.shm_enabled():
-            # Dead workers may have published shared-memory blocks they
-            # can no longer clean up; reap them before the replacement
-            # pool republishes what it needs.
-            shm_tier.cleanup_registry(
-                Path(self.cache_dir) / shm_tier.REGISTRY_NAME
-            )
         if self._rebuilds > self.max_pool_rebuilds:
             self._degraded = True
             if not self._owned_pool:

@@ -43,13 +43,11 @@ from __future__ import annotations
 
 import tempfile
 import time
-from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro import observability as obs
 from repro.cad.resolution import StlResolution
 from repro.mesh.content_hash import model_digest
-from repro.pipeline import shm as shm_tier
 from repro.pipeline.cache import digest_parts
 from repro.pipeline.chain import (
     PLATE_MARGIN_MM,
@@ -333,15 +331,6 @@ class ParallelSweep:
         if self.jobs > 1 and cache_dir is None:
             tmp = tempfile.TemporaryDirectory(prefix="repro-sweep-cache-")
             cache_dir = tmp.name
-        registry = (
-            Path(cache_dir) / shm_tier.REGISTRY_NAME if cache_dir else None
-        )
-        if registry is not None and shm_tier.shm_enabled():
-            # If this parent dies mid-sweep (SIGTERM, interpreter
-            # exit), the atexit/signal reaper still unlinks every
-            # published segment - the finally below only covers the
-            # normal path.
-            shm_tier.arm_parent_reaper(registry)
         fleet = FleetScheduler(
             cache_dir,
             jobs=self.jobs,
@@ -388,13 +377,6 @@ class ParallelSweep:
                 )
         finally:
             fleet.shutdown()
-            if registry is not None:
-                # Shared-memory segments are machine-global; the run
-                # that published them must take them down (crashed
-                # workers cannot).
-                if shm_tier.shm_enabled():
-                    shm_tier.cleanup_registry(registry)
-                shm_tier.disarm_parent_reaper(registry)
             if tmp is not None:
                 tmp.cleanup()
         results = dict(replayed)

@@ -22,10 +22,10 @@ Layers (each importable on its own):
   dispatcher thread admitting up to ``max_concurrent_jobs`` jobs into
   one :class:`~repro.pipeline.FleetScheduler`, warm
   :class:`~repro.pipeline.WorkerPool`, shared disk cache, per-job
-  manifests/traces, startup shm reaping;
+  manifests/traces;
 * :mod:`repro.service.http` - :class:`ServiceServer`: the stdlib
   ``ThreadingHTTPServer`` front end (``repro-obfuscade serve``) with
-  the ``/v1/`` API and deprecation-headered legacy shims.
+  the ``/v1/`` API.
 """
 
 from repro.service.core import ObfuscadeService

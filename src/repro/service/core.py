@@ -26,10 +26,7 @@ across many requests from many tenants:
 * jobs carry priorities and optional deadlines (fleet scheduling
   order) and can be *cancelled*: a queued job leaves the queue; an
   admitted job releases the nodes no other job claims (shared nodes
-  survive untouched);
-* on startup the service reaps shared-memory registries a SIGKILLed
-  predecessor left under the cache directory
-  (:func:`repro.pipeline.shm.reap_stale`).
+  survive untouched).
 
 The service is transport-agnostic; :mod:`repro.service.http` fronts it
 with a versioned stdlib HTTP/JSON API (``/v1/``), and tests drive it
@@ -53,11 +50,10 @@ from repro.pipeline import (
     ChainConfig,
     FleetJob,
     FleetScheduler,
-    ProcessChain,
     WorkerPool,
     digest_parts,
 )
-from repro.pipeline import shm as shm_tier
+from repro.pipeline.chain import PLATE_MARGIN_MM
 from repro.pipeline.resilience import NO_RETRY, RetryPolicy
 from repro.service.jobs import (
     MACHINES,
@@ -154,12 +150,6 @@ class ObfuscadeService:
         self._gate = threading.Event()
         self._gate.set()
         self._thread: Optional[threading.Thread] = None
-        # A predecessor killed uncatchably (SIGKILL) could not reap the
-        # shared-memory blocks its registry names; adopt-and-reap now,
-        # before any job republishes segments (ISSUE 9 satellite).
-        reaped = shm_tier.reap_stale(self.cache_dir)
-        if reaped:
-            self.metrics.inc("service.shm_stale_reaped", reaped)
 
     # -- model / key derivation ----------------------------------------------
 
@@ -317,12 +307,11 @@ class ObfuscadeService:
         started = time.perf_counter()
         try:
             protected = self._protected(job.spec.seed)
-            chain = ProcessChain(machine=MACHINES[job.spec.machine])
             config = ChainConfig(
-                machine=chain.machine,
-                settings=chain.base_settings,
-                raster_cell_mm=chain.simulator.raster_cell_mm,
-                plate_margin_mm=chain.plate_margin_mm,
+                machine=MACHINES[job.spec.machine],
+                settings=None,
+                raster_cell_mm=None,
+                plate_margin_mm=PLATE_MARGIN_MM,
             )
             grid = [
                 (RESOLUTIONS[r], ORIENTATIONS[o])
@@ -447,7 +436,6 @@ class ObfuscadeService:
             "max_concurrent_jobs": self.max_concurrent_jobs,
             "cache_dir": str(self.cache_dir),
             "dedupe": True,
-            "shm": shm_tier.shm_enabled(),
         }
         doc = manifest_mod.sweep_manifest(
             report,

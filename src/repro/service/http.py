@@ -38,10 +38,8 @@ non-2xx response carries the one
 ``GET /v1/healthz`` / ``GET /v1/metrics``
     Liveness + queue/fleet snapshot / the full metrics registry.
 
-Legacy routes (``/submit``, ``/status/<id>``, ``/result/<id>``,
-``/healthz``, ``/metrics``) remain as thin shims over the same
-handlers; they answer with a ``Deprecation`` header pointing at the v1
-path and use the same error envelope.
+Any other path, unversioned ones included, answers **404**
+``not_found``.
 """
 
 from __future__ import annotations
@@ -63,19 +61,11 @@ MAX_WAIT_S = 60.0
 class _Handler(BaseHTTPRequestHandler):
     """One request; ``self.server.service`` is the ObfuscadeService."""
 
-    #: Set per-request when the path matched a legacy (unversioned)
-    #: route; answered with a ``Deprecation`` header.
-    _deprecated_for: Optional[str] = None
-
     def _send_json(self, code: int, payload: Any) -> None:
         body = json.dumps(payload).encode()
         self.send_response(code)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
-        if self._deprecated_for:
-            self.send_header("Deprecation", "true")
-            self.send_header("Link",
-                             f'<{self._deprecated_for}>; rel="successor-version"')
         self.end_headers()
         self.wfile.write(body)
 
@@ -88,44 +78,21 @@ class _Handler(BaseHTTPRequestHandler):
     # -- routing -------------------------------------------------------------
 
     def _route(self) -> Tuple[Optional[str], Dict[str, str]]:
-        """Map the request path onto a v1 endpoint name.
-
-        Legacy paths map onto the same endpoints with
-        ``_deprecated_for`` set to their v1 successor.
-        """
-        self._deprecated_for = None
+        """Map the request path onto a v1 endpoint name (``None`` when
+        no endpoint matches)."""
         path = urlparse(self.path).path
         parts = [p for p in path.split("/") if p]
-        if parts and parts[0] == API_VERSION:
-            parts = parts[1:]
-            if parts == ["jobs"]:
-                return "jobs", {}
-            if len(parts) == 2 and parts[0] == "jobs":
-                return "job", {"id": parts[1]}
-            if len(parts) == 3 and parts[0] == "jobs" \
-                    and parts[2] == "result":
-                return "result", {"id": parts[1]}
-            if parts == ["healthz"]:
-                return "healthz", {}
-            if parts == ["metrics"]:
-                return "metrics", {}
+        if not parts or parts[0] != API_VERSION:
             return None, {}
-        # Legacy shims.
-        if parts == ["submit"]:
-            self._deprecated_for = f"/{API_VERSION}/jobs"
+        parts = parts[1:]
+        if parts == ["jobs"]:
             return "jobs", {}
-        if len(parts) == 2 and parts[0] == "status":
-            self._deprecated_for = f"/{API_VERSION}/jobs/{parts[1]}"
+        if len(parts) == 2 and parts[0] == "jobs":
             return "job", {"id": parts[1]}
-        if len(parts) == 2 and parts[0] == "result":
-            self._deprecated_for = f"/{API_VERSION}/jobs/{parts[1]}/result"
+        if len(parts) == 3 and parts[0] == "jobs" and parts[2] == "result":
             return "result", {"id": parts[1]}
-        if parts == ["healthz"]:
-            self._deprecated_for = f"/{API_VERSION}/healthz"
-            return "healthz", {}
-        if parts == ["metrics"]:
-            self._deprecated_for = f"/{API_VERSION}/metrics"
-            return "metrics", {}
+        if parts in (["healthz"], ["metrics"]):
+            return parts[0], {}
         return None, {}
 
     def _not_found(self, what: Optional[str] = None) -> None:

@@ -5,11 +5,11 @@ The SDK round-trip half of ISSUE 10 satellite #4: every client verb
 over real HTTP against a real :class:`ObfuscadeService`, plus the
 failure contract - structured 4xx envelopes are raised immediately,
 transport faults are retried then surfaced as ``code="transport"``,
-and legacy unversioned routes still answer (with a ``Deprecation``
-header pointing at their v1 successor).
+and unversioned paths answer with the ``not_found`` envelope.
 """
 
 import json
+import urllib.error
 import urllib.request
 
 import pytest
@@ -143,14 +143,13 @@ class TestErrorContract:
             client.submit(SubmitRequest(seed=7), seed=8)
 
 
-class TestLegacyShims:
-    def test_legacy_route_answers_with_deprecation_header(self, live):
+class TestUnversionedRoutes:
+    def test_unversioned_route_is_not_found(self, live):
         _, server = live
-        with urllib.request.urlopen(f"{server.url}/healthz") as resp:
-            assert resp.status == 200
-            assert resp.headers.get("Deprecation") == "true"
-            assert "/v1/healthz" in (resp.headers.get("Link") or "")
-            assert json.load(resp)["status"] == "ok"
+        with pytest.raises(urllib.error.HTTPError) as info:
+            urllib.request.urlopen(f"{server.url}/healthz")
+        assert info.value.code == 404
+        assert json.load(info.value)["error"]["code"] == "not_found"
 
     def test_v1_route_has_no_deprecation_header(self, live):
         _, server = live

@@ -1,14 +1,13 @@
-"""Zero-copy artifact data plane (ISSUE 7): npy-segment cache payloads,
-handle-passing workers, and the opt-in shared-memory tier.
+"""Zero-copy artifact data plane (ISSUE 7): npy-segment cache payloads
+and handle-passing workers.
 
-Unit tests for the payload codec, the disk cache's segment layout and
-the shm store run unconditionally.  The sweep-level chaos tests (worker
-kills against handle-passing, shm cleanup on pool rebuild) are gated
-behind ``OBFUSCADE_FAULTS=1`` like the rest of the chaos suite.
+Unit tests for the payload codec and the disk cache's segment layout
+run unconditionally.  The sweep-level chaos test (a worker kill against
+handle-passing) is gated behind ``OBFUSCADE_FAULTS=1`` like the rest of
+the chaos suite.
 """
 
 import hashlib
-import io
 import os
 import pickle
 
@@ -21,7 +20,7 @@ from repro.faults import FaultPlan, FaultSpec
 from repro.obfuscade.obfuscator import Obfuscator
 from repro.obfuscade.quality import assess_print
 from repro.pipeline import DiskStageCache, ParallelSweep, ROOTS_STAGE
-from repro.pipeline import payload, shm as shm_tier
+from repro.pipeline import payload
 from repro.printer.orientation import PrintOrientation
 
 chaos = pytest.mark.skipif(
@@ -197,80 +196,6 @@ class TestSharedRoots:
         assert DiskStageCache(tmp_path).get_root("absent") is None
 
 
-def _npy_bytes(array):
-    buf = io.BytesIO()
-    np.lib.format.write_array(buf, array, allow_pickle=False)
-    return buf.getvalue()
-
-
-class TestSharedMemoryStore:
-    def test_publish_then_attach_verified(self, tmp_path):
-        registry = tmp_path / shm_tier.REGISTRY_NAME
-        array = np.arange(2048, dtype=np.float64)
-        data = _npy_bytes(array)
-        digest = hashlib.sha256(data).hexdigest()
-        store = shm_tier.SharedSegmentStore(registry)
-        try:
-            view = store.publish(digest, data)
-            if view is None:
-                pytest.skip("POSIX shared memory unavailable")
-            np.testing.assert_array_equal(view, array)
-            # A different process would attach; a fresh store models it.
-            other = shm_tier.SharedSegmentStore(registry)
-            try:
-                attached = other.attach(digest)
-                assert attached is not None
-                np.testing.assert_array_equal(attached, array)
-            finally:
-                other.close()
-            assert registry.read_text().strip()
-        finally:
-            store.close()
-            shm_tier.cleanup_registry(registry)
-
-    def test_digest_mismatch_reports_a_miss(self, tmp_path):
-        registry = tmp_path / shm_tier.REGISTRY_NAME
-        data = _npy_bytes(np.ones(2048))
-        wrong = hashlib.sha256(b"something else").hexdigest()
-        store = shm_tier.SharedSegmentStore(registry)
-        try:
-            if store.publish(wrong, data) is None:
-                pytest.skip("POSIX shared memory unavailable")
-            # A fresh store verifies on attach and must reject the block.
-            other = shm_tier.SharedSegmentStore(registry)
-            try:
-                assert other.attach(wrong) is None
-            finally:
-                other.close()
-        finally:
-            store.close()
-            shm_tier.cleanup_registry(registry)
-
-    def test_cleanup_registry_unlinks_blocks(self, tmp_path):
-        registry = tmp_path / shm_tier.REGISTRY_NAME
-        data = _npy_bytes(np.arange(1024, dtype=np.float64))
-        digest = hashlib.sha256(data).hexdigest()
-        store = shm_tier.SharedSegmentStore(registry)
-        if store.publish(digest, data) is None:
-            pytest.skip("POSIX shared memory unavailable")
-        store.close()
-        assert shm_tier.cleanup_registry(registry) == 1
-        assert not registry.exists()
-        fresh = shm_tier.SharedSegmentStore(registry)
-        try:
-            assert fresh.attach(digest) is None
-        finally:
-            fresh.close()
-
-    def test_enabled_by_environment(self, monkeypatch):
-        monkeypatch.delenv(shm_tier.SHM_ENV, raising=False)
-        assert not shm_tier.shm_enabled()
-        monkeypatch.setenv(shm_tier.SHM_ENV, "0")
-        assert not shm_tier.shm_enabled()
-        monkeypatch.setenv(shm_tier.SHM_ENV, "1")
-        assert shm_tier.shm_enabled()
-
-
 class TestSweepEquivalence:
     """mmap-vs-pickle and handle-vs-inline must not shift a fingerprint."""
 
@@ -344,24 +269,3 @@ class TestChaosDataPlane:
         # bytes are dropped with its future, never double-counted).
         assert report.transport is not None
         assert report.transport.inline_tasks == 0
-
-    def test_shm_segments_reaped_on_pool_rebuild(
-        self, protected, baseline, tmp_path, monkeypatch
-    ):
-        """ISSUE 7 satellite: a dead worker cannot leak shm blocks."""
-        monkeypatch.setenv(shm_tier.SHM_ENV, "1")
-        cache_dir = tmp_path / "cache"
-        faults.install(FaultPlan(
-            (FaultSpec("worker", "kill-worker", times=1),),
-            scratch=str(tmp_path / "scratch"),
-        ))
-        report = ParallelSweep(jobs=2, cache_dir=str(cache_dir)).run(
-            protected.model, GRID_RESOLUTIONS, GRID_ORIENTATIONS,
-            assess=assess_print,
-        )
-        assert report.ok
-        assert report.pool_rebuilds >= 1
-        assert _fingerprints(report) == baseline
-        # The parent reaped every registered block at run end (and on
-        # the rebuild); nothing lingers in the machine-global namespace.
-        assert not (cache_dir / shm_tier.REGISTRY_NAME).exists()

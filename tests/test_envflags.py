@@ -1,9 +1,7 @@
 """Tests for repro.envflags - the one boolean parser for OBFUSCADE_* switches.
 
-Includes the ISSUE 9 regression tests: ``OBFUSCADE_SHM=false`` used to
-*enable* the shared-memory tier (any non-empty, non-"0" string was
-truthy), and ``OBFUSCADE_FAULTS=false`` used to leave fault injection
-armed (only the exact string "0" disabled it).
+Includes a regression test: ``OBFUSCADE_FAULTS=false`` used
+to leave fault injection armed (only the exact string "0" disabled it).
 """
 
 import warnings
@@ -57,30 +55,6 @@ class TestEnvFlag:
         assert env_flag("OBFUSCADE_TEST_FLAG", default=True) is False
         monkeypatch.delenv("OBFUSCADE_TEST_FLAG")
         assert env_flag("OBFUSCADE_TEST_FLAG", default=True) is True
-
-
-class TestShmSwitchRegression:
-    """OBFUSCADE_SHM must honour every falsy spelling (ISSUE 9 bugfix)."""
-
-    @pytest.mark.parametrize("raw", ["false", "no", "off", "0"])
-    def test_falsy_disables_the_tier(self, monkeypatch, raw):
-        from repro.pipeline import shm as shm_tier
-
-        monkeypatch.setenv(shm_tier.SHM_ENV, raw)
-        assert not shm_tier.shm_enabled()
-
-    @pytest.mark.parametrize("raw", ["1", "true", "on"])
-    def test_truthy_enables_the_tier(self, monkeypatch, raw):
-        from repro.pipeline import shm as shm_tier
-
-        monkeypatch.setenv(shm_tier.SHM_ENV, raw)
-        assert shm_tier.shm_enabled()
-
-    def test_unset_is_off(self, monkeypatch):
-        from repro.pipeline import shm as shm_tier
-
-        monkeypatch.delenv(shm_tier.SHM_ENV, raising=False)
-        assert not shm_tier.shm_enabled()
 
 
 class TestFaultsSwitchRegression:

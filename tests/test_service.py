@@ -207,18 +207,18 @@ class TestAdmissionOverHttp:
     def test_fill_then_429_then_join_still_admitted(self, admission):
         base = {"seed": 7, "resolutions": ["coarse"]}
         code, first = _http(
-            "POST", admission.url + "/submit",
+            "POST", admission.url + "/v1/jobs",
             {**base, "orientations": ["x-y"]}, tenant="alice",
         )
         assert code == 202 and not first["joined"]
         code, _ = _http(
-            "POST", admission.url + "/submit",
+            "POST", admission.url + "/v1/jobs",
             {**base, "orientations": ["x-z"]}, tenant="bob",
         )
         assert code == 202
         # Depth 2 reached: a third distinct job gets a structured 429.
         code, doc = _http(
-            "POST", admission.url + "/submit",
+            "POST", admission.url + "/v1/jobs",
             {**base, "orientations": ["x-y", "x-z"]}, tenant="carol",
         )
         assert code == 429
@@ -227,7 +227,7 @@ class TestAdmissionOverHttp:
         assert detail["queue_depth"] == 2 and detail["max_depth"] == 2
         # But an identical resubmission joins: no new work, never a 429.
         code, doc = _http(
-            "POST", admission.url + "/submit",
+            "POST", admission.url + "/v1/jobs",
             {**base, "orientations": ["x-y"]}, tenant="carol",
         )
         assert code == 202 and doc["joined"]
@@ -237,18 +237,18 @@ class TestAdmissionOverHttp:
         quota = make_admission(queue_depth=8, max_tenant_queued=1)
         base = {"seed": 7, "resolutions": ["coarse"]}
         code, _ = _http(
-            "POST", quota.url + "/submit",
+            "POST", quota.url + "/v1/jobs",
             {**base, "orientations": ["x-y"]}, tenant="alice",
         )
         assert code == 202
         code, doc = _http(
-            "POST", quota.url + "/submit",
+            "POST", quota.url + "/v1/jobs",
             {**base, "orientations": ["x-z"]}, tenant="alice",
         )
         assert code == 429 and doc["error"]["code"] == "tenant_quota"
         # Other tenants are unaffected by alice's quota.
         code, _ = _http(
-            "POST", quota.url + "/submit",
+            "POST", quota.url + "/v1/jobs",
             {**base, "orientations": ["x-z"]}, tenant="bob",
         )
         assert code == 202
@@ -259,11 +259,11 @@ class TestAdmissionOverHttp:
         {"unexpected": True},
     ])
     def test_validation_maps_to_400(self, admission, payload):
-        code, doc = _http("POST", admission.url + "/submit", payload)
+        code, doc = _http("POST", admission.url + "/v1/jobs", payload)
         assert code == 400 and doc["error"]["code"] == "invalid_request"
 
     def test_unknown_routes_404(self, admission):
-        assert _http("GET", admission.url + "/status/job-99999")[0] == 404
+        assert _http("GET", admission.url + "/v1/jobs/job-99999")[0] == 404
         assert _http("GET", admission.url + "/nope")[0] == 404
         assert _http("POST", admission.url + "/nope", {})[0] == 404
 
@@ -271,7 +271,7 @@ class TestAdmissionOverHttp:
         admission.service.submit(
             {"seed": 7, "resolutions": ["coarse"], "orientations": ["x-y"]}
         )
-        code, doc = _http("GET", admission.url + "/healthz")
+        code, doc = _http("GET", admission.url + "/v1/healthz")
         assert code == 200 and doc["status"] == "ok"
         assert doc["dispatcher"] == "stopped"
         assert doc["queue"]["queued"] == 1
@@ -292,7 +292,7 @@ def flow(tmp_path_factory):
     shared, joined0 = service.submit(dict(GRID), tenant="alice")
     _, joined1 = service.submit(dict(GRID), tenant="bob")
     code, http_doc = _http(
-        "POST", server.url + "/submit", GRID, tenant="carol"
+        "POST", server.url + "/v1/jobs", GRID, tenant="carol"
     )
     distinct, joined2 = service.submit(
         {**GRID, "orientations": ["x-z"]}, tenant="alice"
@@ -379,18 +379,18 @@ class TestEndToEnd:
 
     def test_status_and_result_endpoints(self, flow):
         code, doc = _http(
-            "GET", flow.url + f"/status/{flow.shared.job_id}"
+            "GET", flow.url + f"/v1/jobs/{flow.shared.job_id}"
         )
         assert code == 200 and doc["state"] == "done"
         code, doc = _http(
-            "GET", flow.url + f"/result/{flow.shared.job_id}?wait=5"
+            "GET", flow.url + f"/v1/jobs/{flow.shared.job_id}/result?wait=5"
         )
         assert code == 200
         assert doc["result"]["fingerprints"]
         assert doc["result"]["cells_failed"] == 0
 
     def test_metrics_expose_service_counters(self, flow):
-        code, doc = _http("GET", flow.url + "/metrics")
+        code, doc = _http("GET", flow.url + "/v1/metrics")
         assert code == 200
         counters = doc["counters"]
         assert counters["service.jobs_done"] >= 2
