@@ -4,12 +4,14 @@ The counterfeiter's settings grid search is the paper's core workload
 (and the core workload of the related detection literature).  This
 bench runs the same (3 resolutions x 3 orientations) search three ways:
 
-* **cold** - stage cache disabled: every cell recomputes the whole
-  chain, which is exactly what the legacy ``PrintJob`` loop did;
-* **warm** - a fresh shared cache: orientation-independent stages
-  (tessellate, resolve) are computed once per resolution and reused;
-* **hot**  - the same search repeated on the populated cache: every
-  stage is a hit.
+* **cold** - every cell attacked alone on its own fresh chain: no
+  cross-cell reuse, so every cell recomputes the whole chain, which is
+  exactly what the legacy ``PrintJob`` loop did;
+* **warm** - one search on a fresh chain: its fleet job schedules the
+  orientation-independent stages (tessellate, resolve) once per
+  resolution and shares them across the orientations;
+* **hot**  - the same search repeated on the warm chain: every cell is
+  answered from the chain's finalize memo at admission.
 
 Each mode is measured ``ROUNDS`` times (best-of, with a GC between
 measurements) because single-digit-percent wall-clock differences on a
@@ -31,7 +33,7 @@ from repro.cad import COARSE, StlResolution
 from repro.obfuscade.attack import CounterfeiterSimulator
 from repro.obfuscade.obfuscator import Obfuscator
 from repro.obfuscade.quality import assess_print
-from repro.pipeline import ParallelSweep, ProcessChain, StageCache
+from repro.pipeline import ParallelSweep, ProcessChain
 from repro.printer import PrintOrientation
 
 from repro.envflags import env_flag
@@ -76,14 +78,19 @@ def _search(protected, chain):
     return time.perf_counter() - start, result
 
 
-def _scheduler_sweep(protected):
-    """One cold serial sweep through the fleet scheduler."""
-    sweep = ParallelSweep()
+def _cold_search(protected):
+    """The grid one cell at a time, each on a fresh chain; returns the
+    wall time and the summary rows in grid order."""
     start = time.perf_counter()
-    report = sweep.run(
-        protected.model, RESOLUTIONS, ORIENTATIONS, assess=assess_print
-    )
-    return time.perf_counter() - start, report
+    rows = []
+    for resolution in RESOLUTIONS:
+        for orientation in ORIENTATIONS:
+            rows += CounterfeiterSimulator(
+                resolutions=(resolution,),
+                orientations=(orientation,),
+                chain=ProcessChain(),
+            ).attack(protected).summary_rows()
+    return time.perf_counter() - start, rows
 
 
 def _parallel_sweep(protected, cache_dir):
@@ -100,11 +107,10 @@ def run():
     protected = Obfuscator(seed=7).protect_tensile_bar()
 
     cold_times, warm_times, hot_times = [], [], []
-    sched_times = []
-    cold = warm = hot = sched = None
+    cold_rows = warm = hot = None
     for _ in range(ROUNDS):
         gc.collect()
-        cold_s, cold = _search(protected, ProcessChain(cache=StageCache(enabled=False)))
+        cold_s, cold_rows = _cold_search(protected)
         cold_times.append(cold_s)
 
         gc.collect()
@@ -117,22 +123,12 @@ def run():
         hot_times.append(hot_s)
 
         # Caching must not change a single verdict.
-        assert warm.summary_rows() == cold.summary_rows() == hot.summary_rows()
-
-        # The stage-granular fleet scheduler, cold: shared nodes are
-        # scheduled once, and no verdict may differ from the search.
-        gc.collect()
-        sched_s, sched = _scheduler_sweep(protected)
-        sched_times.append(sched_s)
-        assert (
-            [(c.assessment.grade, c.assessment.score) for c in sched.cells]
-            == [(a.report.grade, a.report.score) for a in warm.attempts]
-        )
+        assert warm.summary_rows() == cold_rows == hot.summary_rows()
 
     # The zero-copy data plane, measured once: a cold jobs=2 sweep
     # populates a shared disk cache (workers receive a model *handle*,
     # not the model), then a warm repeat answers from mmap-backed
-    # segment reads.  Fingerprints must match the serial scheduler's.
+    # segment reads.  Fingerprints must match the inline search's.
     with tempfile.TemporaryDirectory(prefix="bench-data-plane-") as tmp:
         gc.collect()
         pcold_s, pcold = _parallel_sweep(protected, tmp)
@@ -141,7 +137,7 @@ def run():
     assert (
         [c.fingerprint for c in pcold.cells]
         == [c.fingerprint for c in pwarm.cells]
-        == [c.fingerprint for c in sched.cells]
+        == [c.fingerprint for c in warm.report.cells]
     )
 
     return {
@@ -152,13 +148,11 @@ def run():
         "cold_s": min(cold_times),
         "warm_s": min(warm_times),
         "hot_s": min(hot_times),
-        "sched_s": min(sched_times),
         "rounds": ROUNDS,
         "warm_stats": warm.cache_stats,
         "hot_stats": hot.cache_stats,
         "warm_report": warm.report,
         "hot_report": hot.report,
-        "sched_report": sched,
     }
 
 
@@ -184,15 +178,14 @@ def test_pipeline_cache_speedup(benchmark, report):
     }
     for mode, doc in manifests.items():
         assert validate_manifest(doc) == [], mode
-    sched = r["sched_report"]
+    sched = r["warm_report"].scheduler
     pcold, pwarm = r["parallel_cold_report"], r["parallel_warm_report"]
     lines = [
         f"grid: {len(RESOLUTIONS)} resolutions x {len(ORIENTATIONS)} orientations"
         f" (best of {r['rounds']} rounds{', smoke' if SMOKE else ''})",
-        f"cold (no cache)     : {r['cold_s']:8.2f} s",
-        f"warm (shared cache) : {r['warm_s']:8.2f} s   speedup {warm_speedup:5.2f}x",
+        f"cold (cell by cell) : {r['cold_s']:8.2f} s",
+        f"warm (shared nodes) : {r['warm_s']:8.2f} s   speedup {warm_speedup:5.2f}x",
         f"hot  (repeat search): {r['hot_s']:8.2f} s   speedup {hot_speedup:5.2f}x",
-        f"fleet scheduler     : {r['sched_s']:8.2f} s   (cold, stage-granular dedup)",
         f"jobs=2, cold disk   : {r['parallel_cold_s']:8.2f} s   (handle-passing workers)",
         f"jobs=2, warm disk   : {r['parallel_warm_s']:8.2f} s   (mmap segment reads)",
         "",
@@ -205,8 +198,8 @@ def test_pipeline_cache_speedup(benchmark, report):
         "warm search per-stage counters:",
         *r["warm_stats"].render(),
         "",
-        "scheduler node counters:",
-        *sched.scheduler.render(),
+        "warm search scheduler node counters:",
+        *sched.render(),
     ]
     report(
         "pipeline cache speedup",
@@ -229,8 +222,7 @@ def test_pipeline_cache_speedup(benchmark, report):
             "hot_counters": manifests["hot"]["counters"],
             "warm_timings": manifests["warm"]["timings"],
             "hot_timings": manifests["hot"]["timings"],
-            "scheduler_dedupe_s": r["sched_s"],
-            "scheduler_dedupe": sched.scheduler.to_dict(),
+            "warm_scheduler": sched.to_dict(),
             # Zero-copy data plane: jobs=2 over a shared disk cache,
             # cold (populate) then warm (all-hits), with the worker-pipe
             # byte ledger and the mmap/pickle read split of each leg.
@@ -257,14 +249,14 @@ def test_pipeline_cache_speedup(benchmark, report):
     warm_stats = r["warm_stats"].stages
     # The orientation-independent stages ran once per resolution.
     assert warm_stats["tessellate"].misses == len(RESOLUTIONS)
-    assert warm_stats["tessellate"].hits == len(RESOLUTIONS) * (len(ORIENTATIONS) - 1)
+    assert sched.stages["tessellate"].deduped == len(RESOLUTIONS) * (len(ORIENTATIONS) - 1)
     assert warm_stats["resolve"].misses == len(RESOLUTIONS)
     # A populated cache answers the whole search from hits.
     assert r["hot_stats"].total_misses == 0
     assert r["hot_s"] < r["cold_s"]
     # Stage-granular scheduling: shared stages executed once per
     # resolution fleet-wide (not merely served from cache races).
-    sched_stages = sched.scheduler.stages
+    sched_stages = sched.stages
     n_cells = len(RESOLUTIONS) * len(ORIENTATIONS)
     for stage in ("tessellate", "resolve"):
         assert sched_stages[stage].requested == n_cells

@@ -11,7 +11,7 @@ from repro.obfuscade.quality import QualityGrade
 
 def run_attack(print_job):
     protected = Obfuscator(seed=7).protect_tensile_bar()
-    simulator = CounterfeiterSimulator(job=print_job)
+    simulator = CounterfeiterSimulator(chain=print_job.chain)
     return protected, simulator.attack(protected)
 
 

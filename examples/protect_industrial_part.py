@@ -92,7 +92,7 @@ def main() -> None:
     from repro.obfuscade import CounterfeiterSimulator
 
     job = PrintJob()
-    audit = CounterfeiterSimulator(job=job).attack(protected)
+    audit = CounterfeiterSimulator(chain=job.chain).attack(protected)
     print("design audit (the counterfeiter's grid, run by the designer):")
     for resolution, orientation, grade, score, matches in audit.summary_rows():
         marker = "  <-- key" if matches else ""

@@ -98,8 +98,10 @@ def _sweep_executor_parent() -> argparse.ArgumentParser:
     parent.add_argument(
         "--cache-dir",
         default=None,
-        help="shared stage-cache directory for --jobs (and for reusing "
-        "artifacts across invocations); temporary when omitted",
+        help="on-disk stage-cache directory, used at any --jobs (reuses "
+        "artifacts across invocations); when omitted, a --jobs 1 "
+        "sweep or attack caches in memory, anything else in a "
+        "temporary directory",
     )
     parent.add_argument(
         "--max-retries",
@@ -581,18 +583,10 @@ def _cmd_sweep(args) -> int:
 
     protected = Obfuscator(seed=args.seed).protect_tensile_bar()
     print(f"sweeping: {protected.describe()}")
-    if cache_dir is not None and args.jobs == 1:
-        from repro.pipeline import DiskStageCache
-
-        chain = ProcessChain(
-            machine=_MACHINES[args.machine], cache=DiskStageCache(cache_dir)
-        )
-    else:
-        chain = ProcessChain(machine=_MACHINES[args.machine])
     sim = CounterfeiterSimulator(
         resolutions=resolutions,
         orientations=orientations,
-        chain=chain,
+        chain=ProcessChain(machine=_MACHINES[args.machine]),
         jobs=args.jobs,
         cache_dir=cache_dir,
         retry=retry,

@@ -6,11 +6,11 @@ process-condition space the attacker would realistically search and
 grades every attempt, quantifying how well the obfuscation resists a
 settings grid search.
 
-The grid search runs on the staged process-chain engine
-(:mod:`repro.pipeline`) with one shared stage cache, so work that is
-invariant across the grid is done once: tessellation and coincident-face
-resolution depend only on the resolution, not the orientation, so a
-3 resolutions x 3 orientations search performs 3 tessellations, not 9.
+The grid search runs as one fleet job of the staged process-chain
+engine (:mod:`repro.pipeline`), so work that is invariant across the
+grid is scheduled once: tessellation and coincident-face resolution
+depend only on the resolution, not the orientation, so a 3 resolutions
+x 3 orientations search performs 3 tessellations, not 9.
 
 Resilience (ISSUE 3): a grid search is a long-running batch job, and a
 single degenerate cell must not void the other N-1 attempts.  All the
@@ -22,28 +22,20 @@ exposed here, and failed cells surface as structured entries in
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from repro.cad.resolution import COARSE, FINE, StlResolution, custom_resolution
 from repro.obfuscade.obfuscator import ProtectedModel
 from repro.obfuscade.quality import QualityGrade, QualityReport, assess_print
-from repro.pipeline.cache import CacheStats, stats_delta
+from repro.pipeline.cache import CacheStats
 from repro.pipeline.chain import ProcessChain
-from repro.pipeline.parallel import (
-    ParallelSweep,
-    SweepAborted,
-    SweepCellError,
-    SweepReport,
-    execute_cell,
-)
+from repro.pipeline.parallel import ParallelSweep, SweepCellError, SweepReport
 from repro.pipeline.resilience import (
     NO_RETRY,
     PipelineConfigError,
     RetryPolicy,
 )
-from repro.printer.job import PrintJob
 from repro.printer.orientation import PrintOrientation
 
 
@@ -110,43 +102,44 @@ class AttackResult:
 class CounterfeiterSimulator:
     """Grid-searches process settings against a stolen protected model.
 
+    The search is one :class:`~repro.pipeline.ParallelSweep` run, a
+    fleet of one job, whatever ``jobs`` is.
+
     Parameters
     ----------
-    job:
-        Legacy entry point: an existing :class:`PrintJob` whose chain
-        (machine, settings, cache) the search should use.
     resolutions / orientations:
         The settings grid; defaults to the paper's three resolutions
         and two orientations.
     chain:
-        The staged engine to run on.  Defaults to ``job``'s chain (or a
-        fresh one), so all grid cells share one stage cache.
+        The staged engine whose configuration (machine, settings,
+        raster cell) the search uses; a fresh one when omitted.  An
+        inline search (``jobs=1``, no ``cache_dir``) runs on
+        ``chain.cache``, so repeated searches on one chain reuse its
+        artifacts and cut finished cells off at admission.
     jobs:
-        Worker process count.  ``1`` (default) searches serially on
-        ``chain``; ``> 1`` fans the grid cells out through a
-        :class:`~repro.pipeline.ParallelSweep` whose workers share
-        stage artifacts via an on-disk cache.  Results are identical
-        either way (the engine is deterministic and the raster kernel
-        bit-exact); only the wall-clock changes.
+        Worker process count.  ``1`` (default) runs the grid's node
+        set inline; ``> 1`` fans the nodes out to a worker pool that
+        shares stage artifacts via an on-disk cache.  Results are
+        identical either way (the engine is deterministic and the
+        raster kernel bit-exact); only the wall-clock changes.
     cache_dir:
-        Shared disk-cache directory for parallel searches; a temporary
-        directory is used when omitted.
+        Disk-cache directory the search runs on, whatever ``jobs`` is;
+        a pooled search without one uses a temporary directory.
     retry / cell_timeout_s / keep_going:
-        Per-cell resilience, as for :class:`ParallelSweep`:
-        transient-failure retry policy, wall-clock budget, and whether
-        a cell that exhausts both becomes an entry in
+        Resilience, as for :class:`ParallelSweep`.  ``retry`` and
+        ``cell_timeout_s`` apply per node (each stage execution and
+        each cell finalize), not per whole cell; ``keep_going`` decides
+        whether a cell that exhausts them becomes an entry in
         :attr:`AttackResult.failed` (``True``, default) or aborts the
         search (``False``, raising
         :class:`~repro.pipeline.parallel.SweepAborted`).
     journal_path / resume:
         Checkpoint file for crash-resumable searches; ``resume`` skips
-        cells whose journal record is intact.  Searches with a journal
-        always run through the sweep executor, whatever ``jobs`` is.
+        cells whose journal record is intact.
     """
 
     def __init__(
         self,
-        job: Optional[PrintJob] = None,
         resolutions: Optional[Sequence[StlResolution]] = None,
         orientations: Optional[Sequence[PrintOrientation]] = None,
         chain: Optional[ProcessChain] = None,
@@ -160,8 +153,7 @@ class CounterfeiterSimulator:
     ):
         if jobs < 1:
             raise PipelineConfigError("jobs must be >= 1")
-        self.job = job or PrintJob()
-        self.chain = chain if chain is not None else self.job.chain
+        self.chain = chain if chain is not None else ProcessChain()
         self.resolutions = list(resolutions or (COARSE, FINE, custom_resolution()))
         self.orientations = list(orientations or (PrintOrientation.XY, PrintOrientation.XZ))
         self.jobs = jobs
@@ -174,52 +166,10 @@ class CounterfeiterSimulator:
 
     def attack(self, protected: ProtectedModel) -> AttackResult:
         """Print the stolen model under every setting combination."""
-        if self.jobs > 1 or self.journal_path is not None or self.resume:
-            return self._attack_sweep(protected)
-        return self._attack_serial(protected)
-
-    def _attack_serial(self, protected: ProtectedModel) -> AttackResult:
-        """The in-process search on the shared chain, cell-isolated."""
-        start = time.perf_counter()
-        before = self.chain.stats.snapshot()
-        result = AttackResult()
-        sweep_report = SweepReport(jobs=1)
-        for resolution in self.resolutions:
-            for orientation in self.orientations:
-                cell, error = execute_cell(
-                    self.chain, protected.model, resolution, orientation,
-                    assess_print, True, self.retry, self.cell_timeout_s,
-                )
-                if error is not None:
-                    if not self.keep_going:
-                        raise SweepAborted(error)
-                    result.failed.append(error)
-                    sweep_report.errors.append(error)
-                    continue
-                sweep_report.cells.append(cell)
-                result.attempts.append(
-                    AttackAttempt(
-                        resolution=resolution.name,
-                        orientation=orientation.value,
-                        report=cell.assessment,
-                        matches_key=protected.key.matches(resolution, orientation),
-                    )
-                )
-        result.cache_stats = stats_delta(before, self.chain.stats.snapshot())
-        sweep_report.stats = result.cache_stats
-        sweep_report.wall_s = time.perf_counter() - start
-        result.report = sweep_report
-        return result
-
-    def _attack_sweep(self, protected: ProtectedModel) -> AttackResult:
-        """The same grid search through the fault-tolerant sweep executor."""
         sweep = ParallelSweep(
-            machine=self.chain.machine,
-            settings=self.chain.base_settings,
-            raster_cell_mm=self.chain.simulator.raster_cell_mm,
+            chain=self.chain,
             jobs=self.jobs,
             cache_dir=self.cache_dir,
-            plate_margin_mm=self.chain.plate_margin_mm,
             retry=self.retry,
             cell_timeout_s=self.cell_timeout_s,
             keep_going=self.keep_going,

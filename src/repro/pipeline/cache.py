@@ -241,13 +241,8 @@ class CacheStats:
 class StageCache:
     """Content-addressed store for stage artifacts with counters.
 
-    Parameters
-    ----------
-    enabled:
-        When False the cache never stores or returns artifacts but
-        still accounts timings - useful as a cold-path baseline.
-        The artifact store is unbounded: it holds one sweep's (or one
-        fleet's) working set.
+    The artifact store is unbounded: it holds one sweep's (or one
+    fleet's) working set.
     """
 
     #: Decoded-value working set kept per cache: repeated hits on a
@@ -258,8 +253,7 @@ class StageCache:
     #: Bound on memoized derived products (fingerprints, assessments).
     DERIVED_MAX_ENTRIES = 512
 
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
+    def __init__(self):
         self._entries: "OrderedDict[str, Any]" = OrderedDict()
         self._decoded: "OrderedDict[str, Any]" = OrderedDict()
         self._derived: "OrderedDict[str, Any]" = OrderedDict()
@@ -320,8 +314,6 @@ class StageCache:
         return value
 
     def derived_put(self, key: str, value: Any) -> None:
-        if not self.enabled:
-            return
         self._derived[key] = value
         while len(self._derived) > self.DERIVED_MAX_ENTRIES:
             self._derived.popitem(last=False)
@@ -342,7 +334,7 @@ class StageCache:
         exactly (the ISSUE 4 invariant) no matter how many times an
         artifact is re-read as somebody's input.
         """
-        if self.enabled and key in self._entries:
+        if key in self._entries:
             self._entries.move_to_end(key)
             stored = self._entries[key]
             return self._decode(key, stored, unpack), True
@@ -368,7 +360,7 @@ class StageCache:
         """
         stats = self.stats.stage(stage_name)
         with obs.span("cache.get", stage=stage_name, key=key[:12]):
-            if self.enabled and key in self._entries:
+            if key in self._entries:
                 self._entries.move_to_end(key)
                 stats.hits += 1
                 if stats.misses:
@@ -383,10 +375,9 @@ class StageCache:
             stats.run_s += elapsed
             stats.misses += 1
             obs.annotate(hit=False, tier="compute", run_s=elapsed)
-            if self.enabled:
-                self._entries[key] = pack(value) if pack is not None else value
-                if pack is not None:
-                    self._remember_decoded(key, value)
+            self._entries[key] = pack(value) if pack is not None else value
+            if pack is not None:
+                self._remember_decoded(key, value)
             return value, False
 
 

@@ -74,12 +74,10 @@ class DiskStageCache(StageCache):
         Cache directory; created if missing.  Safe to share between
         processes and across runs - keys are content digests, so stale
         entries are simply never addressed again.
-    enabled:
-        As in :class:`StageCache`.
     """
 
-    def __init__(self, root: os.PathLike, enabled: bool = True):
-        super().__init__(enabled=enabled)
+    def __init__(self, root: os.PathLike):
+        super().__init__()
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         #: Per-stage count of hits served from disk (not memory).
@@ -305,7 +303,7 @@ class DiskStageCache(StageCache):
         way is still quarantined and counted in ``integrity_failures``.
         """
         value, found = super().fetch(stage_name, key, unpack=unpack)
-        if found or not self.enabled:
+        if found:
             return value, found
         with obs.span("cache.fetch", stage=stage_name, key=key[:12]):
             stored, found = self._load(stage_name, key)
@@ -328,24 +326,23 @@ class DiskStageCache(StageCache):
         form."""
         stats = self.stats.stage(stage_name)
         with obs.span("cache.get", stage=stage_name, key=key[:12]):
-            if self.enabled:
-                if key in self._entries:
-                    self._entries.move_to_end(key)
-                    stats.hits += 1
-                    if stats.misses:
-                        stats.saved_s += stats.run_s / stats.misses
-                    obs.annotate(hit=True, tier="memory")
-                    stored = self._entries[key]
-                    return self._decode(key, stored, unpack), True
-                stored, found = self._load(stage_name, key)
-                if found:
-                    stats.hits += 1
-                    self.disk_hits[stage_name] = self.disk_hits.get(stage_name, 0) + 1
-                    if stats.misses:
-                        stats.saved_s += stats.run_s / stats.misses
-                    obs.annotate(hit=True, tier="disk")
-                    self._entries[key] = stored
-                    return self._decode(key, stored, unpack), True
+            if key in self._entries:
+                self._entries.move_to_end(key)
+                stats.hits += 1
+                if stats.misses:
+                    stats.saved_s += stats.run_s / stats.misses
+                obs.annotate(hit=True, tier="memory")
+                stored = self._entries[key]
+                return self._decode(key, stored, unpack), True
+            stored, found = self._load(stage_name, key)
+            if found:
+                stats.hits += 1
+                self.disk_hits[stage_name] = self.disk_hits.get(stage_name, 0) + 1
+                if stats.misses:
+                    stats.saved_s += stats.run_s / stats.misses
+                obs.annotate(hit=True, tier="disk")
+                self._entries[key] = stored
+                return self._decode(key, stored, unpack), True
 
             start = time.perf_counter()
             value = fn()
@@ -353,12 +350,11 @@ class DiskStageCache(StageCache):
             stats.run_s += elapsed
             stats.misses += 1
             obs.annotate(hit=False, tier="compute", run_s=elapsed)
-            if self.enabled:
-                stored = pack(value) if pack is not None else value
-                self._entries[key] = stored
-                if pack is not None:
-                    self._remember_decoded(key, value)
-                self._store(stage_name, key, stored)
+            stored = pack(value) if pack is not None else value
+            self._entries[key] = stored
+            if pack is not None:
+                self._remember_decoded(key, value)
+            self._store(stage_name, key, stored)
             return value, False
 
     # -- shared roots (handle-passing) --------------------------------------
@@ -371,8 +367,6 @@ class DiskStageCache(StageCache):
         (callers then fall back to inline payload-passing).  Uncounted:
         roots are transport, not stage executions.
         """
-        if not self.enabled:
-            return False
         self._entries[key] = value
         if (self.root / ROOTS_STAGE / f"{key}.pkl").exists():
             return True

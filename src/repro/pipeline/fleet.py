@@ -46,10 +46,10 @@ of a patient one without starving it (shared nodes are executed once
 for both anyway).
 
 Tasks run through :func:`~repro.pipeline.scheduler.run_task` - inline
-in the dispatching thread on one fleet-owned cache when ``jobs == 1``
-(or after pool-rebuild exhaustion), or fanned out over a warm
-:class:`~repro.pipeline.scheduler.WorkerPool` whose workers share
-artifacts through one on-disk cache.  A worker death
+in the dispatching thread on the fleet's cache when ``jobs == 1`` (or
+after pool-rebuild exhaustion), or fanned out over a warm
+:class:`~repro.pipeline.scheduler.WorkerPool` whose workers open the
+same on-disk cache by its root directory.  A worker death
 (:class:`~concurrent.futures.process.BrokenProcessPool`) requeues the
 lost tasks and rebuilds the pool a bounded number of times before the
 fleet degrades to inline execution.
@@ -210,11 +210,12 @@ class FleetScheduler:
 
     Parameters
     ----------
-    cache_dir:
-        Shared :class:`DiskStageCache` directory every job's artifacts
-        flow through.  Required when ``jobs > 1`` (the workers share
-        artifacts through it); with ``jobs == 1`` and no directory the
-        fleet runs on one in-memory :class:`StageCache`.
+    cache:
+        The :class:`StageCache` every job's artifacts flow through.
+        Inline tasks run on it, and its derived memo is the
+        fleet-lifetime finalize memo every admission checks.  A pooled
+        fleet (``jobs > 1``) needs a :class:`DiskStageCache`: its
+        workers open the cache's ``root``.
     jobs:
         Worker processes.  ``1`` executes tasks inline in whichever
         thread drives :meth:`step`; ``> 1`` leases executors from
@@ -243,7 +244,7 @@ class FleetScheduler:
 
     def __init__(
         self,
-        cache_dir,
+        cache: StageCache,
         jobs: int = 1,
         retry: RetryPolicy = NO_RETRY,
         cell_timeout_s: Optional[float] = None,
@@ -254,9 +255,11 @@ class FleetScheduler:
     ):
         if jobs < 1:
             raise PipelineConfigError("jobs must be >= 1")
-        if cache_dir is None and jobs > 1:
-            raise PipelineConfigError("a pooled fleet needs a cache_dir")
-        self.cache_dir = None if cache_dir is None else str(cache_dir)
+        if jobs > 1 and not isinstance(cache, DiskStageCache):
+            raise PipelineConfigError("a pooled fleet needs a DiskStageCache")
+        self.cache = cache
+        #: The directory pool workers open; inline tasks need none.
+        self._cache_root = str(cache.root) if jobs > 1 else None
         self.jobs = jobs
         self.retry = retry
         self.cell_timeout_s = cell_timeout_s
@@ -284,10 +287,6 @@ class FleetScheduler:
         self._degraded = False
         self._completed: List[FleetJob] = []
         self._roots_published: set = set()
-        #: The fleet's own cache, created on first use: inline tasks
-        #: run on it, and its derived memo is the fleet-lifetime
-        #: finalize memo every admission checks.
-        self._cache = None
         # Fleet-lifetime counters (per-job views live on job.counters).
         self.cross_job_deduped = 0
         self.fanout_results = 0
@@ -297,14 +296,6 @@ class FleetScheduler:
     def _inc(self, name: str, n: int = 1) -> None:
         if self.metrics is not None and n:
             self.metrics.inc(name, n)
-
-    def _fleet_cache(self) -> StageCache:
-        if self._cache is None:
-            self._cache = (
-                StageCache() if self.cache_dir is None
-                else DiskStageCache(self.cache_dir)
-            )
-        return self._cache
 
     def _finalize_key(self, job: FleetJob, index: int) -> Optional[str]:
         digests = job.cell_digests[index]
@@ -355,8 +346,7 @@ class FleetScheduler:
             return ("inline", model)
         if digest in self._roots_published:
             return ("handle", digest)
-        root_cache = DiskStageCache(self.cache_dir)
-        if root_cache.put_root(digest, model):
+        if self.cache.put_root(digest, model):
             self._roots_published.add(digest)
             return ("handle", digest)
         return ("inline", model)
@@ -382,7 +372,7 @@ class FleetScheduler:
         job.cell_digests[index] = digests
         memo_key = self._finalize_key(job, index)
         if memo_key is not None:
-            memo = self._fleet_cache().derived_get(memo_key)
+            memo = self.cache.derived_get(memo_key)
             if memo is not None:
                 self._cut_off(job, index, planned, memo)
                 return
@@ -584,7 +574,7 @@ class FleetScheduler:
         resolution, orientation = job.grid[index]
         return (
             job.config,
-            self.cache_dir,
+            self._cache_root,
             kind,
             stage_name,
             digest,
@@ -634,7 +624,7 @@ class FleetScheduler:
                 if memo_key is not None:
                     # Seed the fleet memo: a later admission of this
                     # cell is cut off.  Errors are never memoized.
-                    self._fleet_cache().derived_put(
+                    self.cache.derived_put(
                         memo_key, (fingerprint, assessment)
                     )
                 job.results[index] = SweepCellResult(
@@ -926,12 +916,11 @@ class FleetScheduler:
                 self._drop_unclaimed(entry)
                 return True
             payload = self._payload(entry, claim)
-            cache = self._fleet_cache()
         # The task installs its own tracer; preserve whatever tracer
         # the embedding process had installed.
         prev = obs.get_tracer()
         try:
-            shipped = run_task(cache, payload)
+            shipped = run_task(self.cache, payload)
         finally:
             if prev is not None and obs.get_tracer() is not prev:
                 obs.install(prev)

@@ -9,15 +9,16 @@ and journals the cells, and runs the cells it must compute as a fleet
 of one job on a private :class:`~repro.pipeline.fleet.FleetScheduler`.
 The fleet merges the cells into one ``(stage, content digest)`` node
 set, so shared upstream nodes are *scheduled exactly once* (not merely
-deduplicated by cache races), and executes the nodes inline or across
-a process pool whose workers share artifacts through one on-disk
-:class:`~repro.pipeline.disk.DiskStageCache`.
+deduplicated by cache races), and executes the nodes inline on the
+sweep's cache or across a process pool whose workers share artifacts
+through one on-disk :class:`~repro.pipeline.disk.DiskStageCache`.
 
 Determinism: cells are reported in grid order, every stage is pure,
 and the raster kernel is bit-identical to the scalar path - so a
-parallel sweep produces exactly the artifacts of the serial sweep,
-which :func:`outcome_fingerprint` makes checkable as a single content
-hash per cell.
+pooled sweep produces exactly the artifacts of an inline one, and of
+:meth:`~repro.pipeline.chain.ProcessChain.run` on each cell, which
+:func:`outcome_fingerprint` makes checkable as a single content hash
+per cell.
 
 Fault tolerance: a sweep is only as strong as its weakest cell unless
 failures are *isolated*.  Here:
@@ -50,12 +51,12 @@ from repro.cad.resolution import StlResolution
 from repro.mesh.content_hash import model_digest
 from repro.pipeline.cache import digest_parts
 from repro.pipeline.chain import (
-    PLATE_MARGIN_MM,
     ProcessChain,
     _machine_key,
     _resolution_key,
     _settings_key,
 )
+from repro.pipeline.disk import DiskStageCache
 from repro.pipeline.fleet import FleetJob, FleetScheduler
 from repro.pipeline.graph import SchedulerStats
 from repro.pipeline.journal import SweepJournal
@@ -67,19 +68,15 @@ from repro.pipeline.report import (
     TransportStats,
     assess_identity,
     cell_error_from_exception,
-    finalize_key,
     outcome_fingerprint,
 )
 from repro.pipeline.resilience import (
     NO_RETRY,
     PipelineConfigError,
     RetryPolicy,
-    time_limit,
 )
-from repro.pipeline.scheduler import OUTCOME_STAGES, ChainConfig, WorkerPool
-from repro.printer.machines import DIMENSION_ELITE, MachineProfile
+from repro.pipeline.scheduler import ChainConfig, WorkerPool
 from repro.printer.orientation import PrintOrientation
-from repro.slicer.settings import SlicerSettings
 
 #: Pool rebuilds attempted after worker deaths before degrading to
 #: serial execution of the remaining cells.
@@ -95,109 +92,29 @@ __all__ = [
     "TransportStats",
     "WorkerPool",
     "cell_error_from_exception",
-    "execute_cell",
     "outcome_fingerprint",
 ]
 
 
-def execute_cell(
-    chain: ProcessChain,
-    model,
-    resolution: StlResolution,
-    orientation: PrintOrientation,
-    assess,
-    analyze_seam: bool,
-    retry: RetryPolicy,
-    cell_timeout_s: Optional[float],
-):
-    """Run one grid cell on an existing chain; never raises.
-
-    The whole-cell execution path, kept for consumers that iterate a
-    shared long-lived chain themselves (the counterfeiter simulator's
-    serial attack loop); sweeps go through the fleet scheduler
-    instead.  Returns ``(cell, error)`` with exactly one of
-    the two set.
-    """
-    context = f"{resolution.name}/{orientation.value}"
-
-    def attempt():
-        with time_limit(cell_timeout_s, what=f"cell {context}"):
-            return chain.run(
-                model, resolution, orientation, analyze_seam=analyze_seam
-            )
-
-    with obs.span(
-        "sweep.cell",
-        cell=context,
-        resolution=resolution.name,
-        orientation=orientation.value,
-    ):
-        try:
-            outcome, attempts = retry.call(attempt)
-        except Exception as exc:
-            obs.annotate(
-                outcome="error",
-                error_type=type(exc).__name__,
-                attempts=getattr(exc, "attempts", 1),
-            )
-            return None, cell_error_from_exception(
-                resolution.name, orientation.value, exc, retry
-            )
-        # The fingerprint and assessment are pure derivations of the
-        # outcome-stage artifacts, which the stage log already content-
-        # addresses - memoize them on the chain's cache so a warm
-        # re-run of the same cell skips hashing the voxel grids and
-        # re-assessing entirely (uncounted, like any other derived
-        # product).
-        fingerprint = assessment = None
-        memo_key = None
-        cache = chain.cache
-        if cache is not None and cache.enabled:
-            digests = {ex.name: ex.digest for ex in outcome.stage_log}
-            if all(name in digests for name in OUTCOME_STAGES):
-                memo_key = finalize_key(
-                    (digests[name] for name in OUTCOME_STAGES), assess
-                )
-                memo = (
-                    None if memo_key is None
-                    else cache.derived_get(memo_key)
-                )
-                if memo is not None:
-                    fingerprint, assessment = memo
-        if fingerprint is None:
-            fingerprint = outcome_fingerprint(outcome)
-            assessment = assess(outcome) if assess is not None else None
-            if memo_key is not None:
-                cache.derived_put(memo_key, (fingerprint, assessment))
-        cell = SweepCellResult(
-            resolution=resolution.name,
-            orientation=orientation.value,
-            fingerprint=fingerprint,
-            assessment=assessment,
-            stage_log=outcome.stage_log,
-            attempts=attempts,
-        )
-        obs.annotate(
-            outcome="ok", attempts=attempts, fingerprint=cell.fingerprint
-        )
-    return cell, None
-
-
 class ParallelSweep:
-    """Grid sweep executor: serial in-process, or fanned out to workers.
+    """Grid sweep executor: inline in-process, or fanned out to workers.
 
     Parameters
     ----------
-    machine / settings / raster_cell_mm / plate_margin_mm:
-        Chain configuration, as for :class:`~repro.pipeline.ProcessChain`.
+    chain:
+        The :class:`~repro.pipeline.ProcessChain` whose configuration
+        (machine, settings, raster cell, plate margin) every cell runs
+        with; a default chain when omitted.
     jobs:
         Worker process count; ``1`` (default) runs the merged node set
-        serially in-process.
+        inline in this process.
     cache_dir:
-        Directory for the shared :class:`DiskStageCache`.  Required to
-        share artifacts *across* sweeps; when omitted, a parallel sweep
-        uses a throwaway temporary directory for the duration of the
-        run and a serial sweep uses a plain in-memory cache.
+        Directory for the shared :class:`DiskStageCache`, which is then
+        the cache the sweep runs on.  When omitted, a pooled sweep
+        (``jobs > 1``) uses a throwaway temporary directory for the
+        duration of the run, and an inline sweep runs on
+        ``chain.cache`` - so repeated sweeps on one chain share its
+        artifacts and finalize memo.
     retry:
         :class:`RetryPolicy` applied to every scheduled node.  The
         default never retries; pass e.g.
@@ -231,12 +148,9 @@ class ParallelSweep:
 
     def __init__(
         self,
-        machine: MachineProfile = DIMENSION_ELITE,
-        settings: Optional[SlicerSettings] = None,
-        raster_cell_mm: Optional[float] = None,
+        chain: Optional[ProcessChain] = None,
         jobs: int = 1,
         cache_dir: Optional[str] = None,
-        plate_margin_mm: float = PLATE_MARGIN_MM,
         retry: Optional[RetryPolicy] = None,
         cell_timeout_s: Optional[float] = None,
         keep_going: bool = True,
@@ -253,12 +167,10 @@ class ParallelSweep:
             raise PipelineConfigError("max_pool_rebuilds must be >= 0")
         if resume and journal_path is None:
             raise PipelineConfigError("resume requires a journal_path")
-        self.machine = machine
-        self.settings = settings
-        self.raster_cell_mm = raster_cell_mm
+        self.chain = chain if chain is not None else ProcessChain()
+        self.config = ChainConfig.of(self.chain)
         self.jobs = jobs
         self.cache_dir = cache_dir
-        self.plate_margin_mm = plate_margin_mm
         self.retry = retry if retry is not None else NO_RETRY
         self.cell_timeout_s = cell_timeout_s
         self.keep_going = keep_going
@@ -327,12 +239,15 @@ class ParallelSweep:
         cell as it finishes; merge with the replayed cells."""
         todo = [i for i in range(len(grid)) if i not in replayed]
         tmp = None
-        cache_dir = self.cache_dir
-        if self.jobs > 1 and cache_dir is None:
+        if self.cache_dir is not None:
+            cache = DiskStageCache(self.cache_dir)
+        elif self.jobs > 1:
             tmp = tempfile.TemporaryDirectory(prefix="repro-sweep-cache-")
-            cache_dir = tmp.name
+            cache = DiskStageCache(tmp.name)
+        else:
+            cache = self.chain.cache
         fleet = FleetScheduler(
-            cache_dir,
+            cache,
             jobs=self.jobs,
             retry=self.retry,
             cell_timeout_s=self.cell_timeout_s,
@@ -344,13 +259,7 @@ class ParallelSweep:
         try:
             if todo:
                 job = fleet.admit(FleetJob(
-                    "sweep", model, [grid[i] for i in todo],
-                    ChainConfig(
-                        machine=self.machine,
-                        settings=self.settings,
-                        raster_cell_mm=self.raster_cell_mm,
-                        plate_margin_mm=self.plate_margin_mm,
-                    ),
+                    "sweep", model, [grid[i] for i in todo], self.config,
                     assess=assess,
                     analyze_seam=analyze_seam,
                 ))
@@ -415,10 +324,10 @@ class ParallelSweep:
             model_digest(model),
             _resolution_key(resolution),
             orientation.value,
-            _machine_key(self.machine),
-            _settings_key(self.settings) if self.settings is not None else None,
-            self.raster_cell_mm,
-            self.plate_margin_mm,
+            _machine_key(self.config.machine),
+            _settings_key(self.config.settings),
+            self.config.raster_cell_mm,
+            self.config.plate_margin_mm,
             analyze_seam,
             assess_key,
         )

@@ -73,6 +73,16 @@ class ChainConfig:
     raster_cell_mm: Optional[float]
     plate_margin_mm: float
 
+    @classmethod
+    def of(cls, chain: ProcessChain) -> "ChainConfig":
+        """The configuration ``chain`` runs with (its cache aside)."""
+        return cls(
+            machine=chain.machine,
+            settings=chain.base_settings,
+            raster_cell_mm=chain.simulator.raster_cell_mm,
+            plate_margin_mm=chain.plate_margin_mm,
+        )
+
     def build(self, cache) -> ProcessChain:
         return ProcessChain(
             machine=self.machine,
@@ -176,8 +186,8 @@ def execute_finalize(
     """Assemble, fingerprint and assess one finished cell.
 
     The per-cell ``sweep.cell`` trace span is emitted here - finalize
-    runs where the cell's verdict is produced (a worker in parallel
-    mode, the parent serially), exactly like the legacy cell executor.
+    runs where the cell's verdict is produced (a worker in pooled
+    mode, the parent inline).
     Deliberately uncached and unaccounted: assembling an outcome from
     cached artifacts is not a stage execution, so a warm sweep still
     reports zero misses and a fully-replayed resume reports zero of

@@ -48,6 +48,7 @@ from repro.observability import MetricsRegistry, Tracer, export
 from repro.observability import manifest as manifest_mod
 from repro.pipeline import (
     ChainConfig,
+    DiskStageCache,
     FleetJob,
     FleetScheduler,
     WorkerPool,
@@ -130,7 +131,7 @@ class ObfuscadeService:
             WorkerPool(jobs) if jobs > 1 else None
         )
         self.fleet = FleetScheduler(
-            cache_dir=str(self.cache_dir),
+            DiskStageCache(self.cache_dir),
             jobs=jobs,
             retry=self.retry,
             cell_timeout_s=cell_timeout_s,

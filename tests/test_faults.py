@@ -24,6 +24,7 @@ from repro.faults import injector as _injector
 from repro.obfuscade.obfuscator import Obfuscator
 from repro.obfuscade.quality import assess_print
 from repro.pipeline import (
+    DiskStageCache,
     FleetJob,
     FleetScheduler,
     ParallelSweep,
@@ -219,18 +220,12 @@ class TestChaosSweep:
     ):
         """A worker death mid-fleet requeues the lost task: both
         overlapping jobs complete instead of waiting on it forever."""
-        chain = ProcessChain()
-        config = ChainConfig(
-            machine=chain.machine,
-            settings=chain.base_settings,
-            raster_cell_mm=chain.simulator.raster_cell_mm,
-            plate_margin_mm=chain.plate_margin_mm,
-        )
+        config = ChainConfig.of(ProcessChain())
         faults.install(FaultPlan(
             (FaultSpec("worker", "kill-worker", times=1),),
             scratch=str(tmp_path / "scratch"),
         ))
-        fleet = FleetScheduler(cache_dir=tmp_path / "cache", jobs=2)
+        fleet = FleetScheduler(DiskStageCache(tmp_path / "cache"), jobs=2)
         grid = [(COARSE, o) for o in GRID_ORIENTATIONS]
         jobs = [
             fleet.admit(FleetJob(name, protected.model, cells, config,

@@ -20,11 +20,13 @@ from repro.pipeline.cache import CacheStats
 from repro.obfuscade.obfuscator import Obfuscator
 from repro.obfuscade.quality import assess_print
 from repro.pipeline import (
+    DiskStageCache,
     FleetJob,
     FleetScheduler,
     ParallelSweep,
     PipelineConfigError,
     ProcessChain,
+    StageCache,
 )
 from repro.pipeline.scheduler import ChainConfig
 from repro.printer.orientation import PrintOrientation
@@ -47,13 +49,7 @@ def protected():
 
 @pytest.fixture(scope="module")
 def config():
-    chain = ProcessChain()
-    return ChainConfig(
-        machine=chain.machine,
-        settings=chain.base_settings,
-        raster_cell_mm=chain.simulator.raster_cell_mm,
-        plate_margin_mm=chain.plate_margin_mm,
-    )
+    return ChainConfig.of(ProcessChain())
 
 
 def _serial_fingerprints(protected, grid, cache_dir):
@@ -83,7 +79,7 @@ def _fingerprints(job):
 def merged(protected, config, tmp_path_factory):
     """Two overlapping jobs admitted together, run to completion."""
     root = tmp_path_factory.mktemp("fleet-merged")
-    fleet = FleetScheduler(cache_dir=root / "cache", jobs=1)
+    fleet = FleetScheduler(DiskStageCache(root / "cache"), jobs=1)
     completed = []
     job_a = FleetJob("job-a", protected.model, GRID_A, config,
                      assess=assess_print,
@@ -169,6 +165,12 @@ class TestCrossJobMerging:
             fleet.admit(job)
         assert fleet.cancel("job-c")
 
+    def test_pooled_fleet_rejects_an_in_memory_cache(self):
+        """Pool workers open the fleet's cache by its root directory,
+        which an in-memory cache does not have."""
+        with pytest.raises(PipelineConfigError):
+            FleetScheduler(StageCache(), jobs=2)
+
 
 class TestCancellation:
     def test_cancel_while_queued_releases_unshared_nodes(
@@ -177,7 +179,7 @@ class TestCancellation:
         """Cancelling before any execution: nodes only the doomed job
         claims are released (and counted); shared nodes survive and
         the surviving job's results are untouched."""
-        fleet = FleetScheduler(cache_dir=tmp_path / "cache", jobs=1)
+        fleet = FleetScheduler(DiskStageCache(tmp_path / "cache"), jobs=1)
         done = []
         survivor = FleetJob("survivor", protected.model, GRID_A, config,
                             assess=assess_print,
@@ -208,7 +210,7 @@ class TestCancellation:
         """Cancelling after execution started: work already done
         (possibly attributed to the doomed job) still serves the
         survivors, and their fingerprints stay serial-identical."""
-        fleet = FleetScheduler(cache_dir=tmp_path / "cache", jobs=1)
+        fleet = FleetScheduler(DiskStageCache(tmp_path / "cache"), jobs=1)
         survivor = FleetJob("survivor", protected.model, GRID_A, config,
                             assess=assess_print)
         doomed = FleetJob("doomed", protected.model, GRID_B, config,
@@ -233,7 +235,7 @@ class TestPriorities:
         """Priority inversion check: a high-priority job admitted
         *after* a low-priority one finishes first - ready nodes rank
         by the most urgent claiming job."""
-        fleet = FleetScheduler(cache_dir=tmp_path / "cache", jobs=1)
+        fleet = FleetScheduler(DiskStageCache(tmp_path / "cache"), jobs=1)
         order = []
         patient = FleetJob(
             "patient", protected.model, [(COARSE, XY), (COARSE, XZ)],
@@ -261,7 +263,7 @@ class TestKeepGoingFalse:
         """keep_going=False releases the victim job's other cells; the
         job must still complete with exactly that one error instead of
         waiting forever on the released cells."""
-        fleet = FleetScheduler(cache_dir=tmp_path / "cache", jobs=1,
+        fleet = FleetScheduler(DiskStageCache(tmp_path / "cache"), jobs=1,
                                keep_going=False)
         job = fleet.admit(FleetJob("doomed", protected.model, GRID_A, config,
                                    assess=_exploding_assess))
@@ -311,7 +313,7 @@ class TestEarlyCutoff:
     ):
         """Two lambdas share a qualname but judge differently: neither
         may be served the other's memoized verdict."""
-        fleet = FleetScheduler(cache_dir=None, jobs=1)
+        fleet = FleetScheduler(StageCache(), jobs=1)
         cell = [(COARSE, XY)]
         a = fleet.admit(FleetJob("a", protected.model, cell, config,
                                  assess=_verdict_factory("A")))
@@ -328,7 +330,7 @@ class TestEarlyCutoff:
     def test_identical_job_resolves_at_admission(
         self, protected, config, tmp_path, jobs
     ):
-        fleet = FleetScheduler(cache_dir=tmp_path / "cache", jobs=jobs)
+        fleet = FleetScheduler(DiskStageCache(tmp_path / "cache"), jobs=jobs)
         try:
             first = fleet.admit(FleetJob("first", protected.model, GRID_A,
                                          config, assess=assess_print))
@@ -373,7 +375,7 @@ class TestEarlyCutoff:
     def test_partial_cutoff_claims_only_new_cells(
         self, protected, config, tmp_path
     ):
-        fleet = FleetScheduler(cache_dir=None, jobs=1)
+        fleet = FleetScheduler(StageCache(), jobs=1)
         fleet.admit(FleetJob("a", protected.model, GRID_A, config,
                              assess=assess_print))
         _drive(fleet)
@@ -397,7 +399,7 @@ class TestEarlyCutoff:
         self, protected, config
     ):
         _FLAKY_CALLS.clear()
-        fleet = FleetScheduler(cache_dir=None, jobs=1)
+        fleet = FleetScheduler(StageCache(), jobs=1)
         cell = [(COARSE, XY)]
         first = fleet.admit(FleetJob("first", protected.model, cell, config,
                                      assess=_flaky_assess))
@@ -419,7 +421,7 @@ class TestEarlyCutoff:
     def test_cancel_after_admission_time_completion(
         self, protected, config
     ):
-        fleet = FleetScheduler(cache_dir=None, jobs=1)
+        fleet = FleetScheduler(StageCache(), jobs=1)
         cell = [(COARSE, XY)]
         fleet.admit(FleetJob("warm", protected.model, cell, config,
                              assess=assess_print))

@@ -5,6 +5,9 @@ the paper's central security argument, so it runs as a real end-to-end
 simulation (a few seconds per cell).
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.cad import COARSE, FINE
@@ -12,6 +15,9 @@ from repro.obfuscade.attack import CounterfeiterSimulator
 from repro.obfuscade.obfuscator import Obfuscator
 from repro.obfuscade.quality import QualityGrade
 from repro.printer import PrintOrientation
+
+#: Per-cell fingerprints and grades the benchmark checks its runs against.
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 
 
 @pytest.fixture(scope="module")
@@ -71,3 +77,42 @@ class TestCustomGrids:
         assert result.n_attempts == 1
         assert not result.successful
         assert result.key_only_success  # vacuously: no genuine prints
+
+
+class TestOneExecutionPath:
+    """A search runs as a fleet job at any ``jobs`` value."""
+
+    def test_jobs_1_matches_reference_fingerprints(self):
+        """The inline search reproduces the committed per-cell
+        fingerprints and grades of the benchmark's fixed bar."""
+        expected = json.loads(REFERENCE.read_text())["service_model"]["cells"]
+        result = CounterfeiterSimulator(
+            resolutions=(COARSE, FINE), orientations=(PrintOrientation.XY,)
+        ).attack(Obfuscator(0).protect_tensile_bar())
+        grades = {
+            f"{a.resolution}/{a.orientation}": a.report.grade.value
+            for a in result.attempts
+        }
+        got = {
+            name: (cell.fingerprint, grades[name])
+            for cell in result.report.cells
+            for name in [f"{cell.resolution}/{cell.orientation}"]
+        }
+        assert got == {
+            name: (expected[name]["fingerprint"], expected[name]["grade"])
+            for name in ("Coarse/x-y", "Fine/x-y")
+        }
+
+    def test_cache_dir_is_used_at_jobs_1(self, tmp_path):
+        """``cache_dir`` holds the search's stage artifacts whatever
+        ``jobs`` is, so a fresh simulator on it recomputes nothing."""
+        protected = Obfuscator(seed=7).protect_tensile_bar()
+        grid = dict(resolutions=(COARSE,), orientations=(PrintOrientation.XY,))
+        CounterfeiterSimulator(cache_dir=str(tmp_path), **grid).attack(protected)
+        stored = {p.parent.name for p in tmp_path.glob("*/*.pkl")}
+        assert {"tessellate", "slice", "deposit"} <= stored
+        warm = CounterfeiterSimulator(
+            cache_dir=str(tmp_path), **grid
+        ).attack(protected)
+        assert warm.cache_stats.total_misses == 0
+        assert warm.cache_stats.total_hits > 0

@@ -229,13 +229,6 @@ class TestDiskStageCache:
             unpack=lambda d: d["doubled"] // 2,
         ) == (21, True)
 
-    def test_disabled_never_touches_disk(self, tmp_path):
-        cache = DiskStageCache(tmp_path, enabled=False)
-        cache.get_or_run("stage", "k1", lambda: 1)
-        _, hit = cache.get_or_run("stage", "k1", lambda: 2)
-        assert not hit
-        assert not (tmp_path / "stage").exists()
-
 
 class TestArtifactCodec:
     """pack_artifact/unpack_artifact: the deposit stage's cache codec."""

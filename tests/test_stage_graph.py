@@ -26,11 +26,11 @@ from repro.pipeline import (
     ParallelSweep,
     PipelineConfigError,
     ProcessChain,
+    StageCache,
     StageGraph,
     StageGraphError,
+    outcome_fingerprint,
 )
-from repro.pipeline.parallel import execute_cell
-from repro.pipeline.resilience import NO_RETRY
 from repro.pipeline.scheduler import ChainConfig
 from repro.pipeline.stage import Stage
 from repro.printer.orientation import PrintOrientation
@@ -183,14 +183,8 @@ class TestExecutionGraphPlanning:
     plan time, before anything executes."""
 
     def test_shared_stages_scheduled_once_per_resolution(self, protected):
-        chain = ProcessChain()
-        config = ChainConfig(
-            machine=chain.machine,
-            settings=chain.base_settings,
-            raster_cell_mm=chain.simulator.raster_cell_mm,
-            plate_margin_mm=chain.plate_margin_mm,
-        )
-        fleet = FleetScheduler(cache_dir=None, jobs=1)
+        config = ChainConfig.of(ProcessChain())
+        fleet = FleetScheduler(StageCache(), jobs=1)
         grid = [(r, o) for r in RESOLUTIONS for o in ORIENTATIONS]
         job = fleet.admit(FleetJob("plan", protected.model, grid, config))
         counters = job.counters
@@ -214,22 +208,20 @@ class TestExecutionGraphPlanning:
 
 
 class TestSchedulerEquivalence:
-    """ISSUE 6 acceptance: scheduler output is bit-identical to the
-    legacy per-cell executor, while shared nodes execute once."""
+    """Scheduler output is bit-identical to running each cell through
+    :meth:`ProcessChain.run` (the ``PrintJob`` path), while shared
+    nodes execute once."""
 
     @pytest.fixture(scope="class")
     def legacy_fingerprints(self, protected):
         chain = ProcessChain()
-        fingerprints = []
-        for resolution in RESOLUTIONS:
-            for orientation in ORIENTATIONS:
-                cell, error = execute_cell(
-                    chain, protected.model, resolution, orientation,
-                    assess_print, True, NO_RETRY, None,
-                )
-                assert error is None
-                fingerprints.append(cell.fingerprint)
-        return fingerprints
+        return [
+            outcome_fingerprint(
+                chain.run(protected.model, resolution, orientation)
+            )
+            for resolution in RESOLUTIONS
+            for orientation in ORIENTATIONS
+        ]
 
     @pytest.fixture(scope="class")
     def serial_report(self, protected):

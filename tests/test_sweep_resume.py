@@ -12,7 +12,12 @@ from repro.cad import COARSE
 from repro.obfuscade.attack import CounterfeiterSimulator
 from repro.obfuscade.obfuscator import Obfuscator
 from repro.obfuscade.quality import assess_print
-from repro.pipeline import ParallelSweep, PipelineConfigError, SweepJournal
+from repro.pipeline import (
+    ParallelSweep,
+    PipelineConfigError,
+    ProcessChain,
+    SweepJournal,
+)
 from repro.printer.orientation import PrintOrientation
 
 GRID_RESOLUTIONS = (COARSE,)
@@ -186,8 +191,8 @@ class TestSweepResume:
         journal written under different settings resumes nothing."""
         _, journal = journaled_run
         resumed = ParallelSweep(
+            ProcessChain(plate_margin_mm=7.5),
             jobs=1, journal_path=str(journal), resume=True,
-            plate_margin_mm=7.5,
         ).run(
             protected.model, GRID_RESOLUTIONS, (PrintOrientation.XY,),
             assess=assess_print,
