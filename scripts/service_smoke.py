@@ -5,30 +5,33 @@ Drives a real :class:`ObfuscadeService` through the v1 HTTP API with
 the :class:`repro.client.ServiceClient` SDK, the way CI exercises the
 other subsystems (ISSUE 9 + ISSUE 10 acceptance):
 
-* N identical jobs submitted concurrently from distinct tenants must
-  coalesce onto ONE computation (one admission, N-1 joins, one run
-  manifest), while mixed-priority distinct jobs ride alongside;
-* the distinct jobs' grids overlap the shared one, and the fleet
-  admits them concurrently (``--max-concurrent-jobs``), so the
-  cross-job dedupe counters must prove shared nodes executed once
-  (``cross_job_deduped >= 1``) while every overlapping cell still
-  agrees bit-for-bit;
+* N identical submissions sent concurrently from N tenants must
+  become N jobs, each owned by its tenant, each done with the
+  ``--baseline`` fingerprints; they share work only through the fleet,
+  so together they execute no more stage nodes than the baseline run
+  (summed ``scheduler.totals.executed``), and at least
+  N - ``--max-concurrent-jobs`` of them are cut off at admission
+  (``cutoff_cells`` == the grid size);
+* mixed-priority distinct jobs ride alongside; their grids overlap the
+  shared one, and the fleet admits jobs concurrently
+  (``--max-concurrent-jobs``), so the cross-job dedupe counters must
+  prove shared nodes executed once (``cross_job_deduped >= 1``) while
+  every overlapping cell still agrees bit-for-bit;
 * one queued job must be cancelled through ``DELETE /v1/jobs/{id}``
   without perturbing any surviving job's results;
 * one more distinct submission beyond the queue depth must get a
   structured 429 envelope, never a hang;
-* the shared job's fingerprints must be bit-identical to a serial CLI
-  sweep of the same grid (``--baseline``);
-* the shared grid resubmitted after its job finished must be answered
+* the shared grid resubmitted after its jobs finished must be answered
   at fleet admission from the finalize memo (early cutoff): one cut-off
   cell, zero pool tasks, the same fingerprints;
 * ``check_run_artifacts.py`` must pass on EVERY completed job's
   manifest + trace (per-job accounting stays exact under the fleet);
 * the warm worker pool must survive every job without a rebuild.
 
-The shared job's manifest and trace are copied to stable names
-(``shared.manifest.json`` / ``shared.trace.jsonl`` under ``--out``) so
-a follow-up ``check_run_artifacts.py`` step can schema-check them.
+The manifest and trace of the identical job that executed the shared
+nodes are copied to stable names (``shared.manifest.json`` /
+``shared.trace.jsonl`` under ``--out``) so a follow-up
+``check_run_artifacts.py`` step can schema-check them.
 
 Usage:
     PYTHONPATH=src python scripts/service_smoke.py \
@@ -49,11 +52,12 @@ from repro.service import ObfuscadeService, ServiceServer
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 import check_run_artifacts  # noqa: E402 - sibling script
 
-#: The coalescing target: every "identical" submission sends exactly this.
+#: Every "identical" submission sends exactly this.
 SHARED = {"seed": 7, "resolutions": ["coarse"], "orientations": ["x-y"]}
-#: Distinct jobs that must NOT coalesce with the shared one.  Their
-#: grids overlap it (and each other), at different priorities, so the
-#: fleet must dedupe their shared nodes across job boundaries.
+SHARED_CELLS = len(SHARED["resolutions"]) * len(SHARED["orientations"])
+#: Distinct jobs whose grids overlap the shared one (and each other),
+#: at different priorities, so the fleet must dedupe their shared nodes
+#: across job boundaries.
 DISTINCT = [
     {"seed": 7, "resolutions": ["coarse"], "orientations": ["x-z"],
      "priority": 1},
@@ -88,48 +92,38 @@ def main(argv=None) -> int:
         out_dir=out / "runs",
         jobs=args.jobs,
         max_concurrent_jobs=args.max_concurrent_jobs,
-        queue_depth=2 + len(DISTINCT),
+        # Room for every identical, distinct and doomed job, so the
+        # overflow submission is the first one refused.
+        queue_depth=args.identical + len(DISTINCT) + 1,
     )
     server = ServiceServer(service, port=0)
     server.start()
     # Paused dispatcher: every submission lands while nothing runs, so
-    # the join/admit split and the queued-cancel are deterministic.
+    # the queued-cancel and the overflow 429 are deterministic.
     service.start(paused=True)
     try:
-        views = [None] * args.identical
+        tenants = [f"tenant-{i}" for i in range(args.identical)]
+        identical_ids = [None] * args.identical
         def submit(i):
-            client = ServiceClient(server.url, tenant=f"tenant-{i}")
-            view = client.submit(**SHARED)
-            views[i] = (view, client.last_submit_joined)
+            client = ServiceClient(server.url, tenant=tenants[i])
+            identical_ids[i] = client.submit(**SHARED).job_id
         threads = [threading.Thread(target=submit, args=(i,))
                    for i in range(args.identical)]
         for t in threads:
             t.start()
         for t in threads:
             t.join()
-
-        admissions = [v for v, joined in views if not joined]
-        joins = [v for v, joined in views if joined]
-        if len(admissions) != 1 or len(joins) != args.identical - 1:
+        if len(set(identical_ids)) != args.identical:
             problems.append(
-                f"{args.identical} identical submissions produced "
-                f"{len(admissions)} admissions + {len(joins)} joins "
-                f"(want 1 + {args.identical - 1})"
+                f"{args.identical} identical submissions got "
+                f"{len(set(identical_ids))} distinct job ids (want one "
+                f"job each)"
             )
-        shared_id = admissions[0].job_id if admissions else None
-        if any(v.job_id != shared_id for v in joins):
-            problems.append("joined submissions did not all share one job id")
 
         distinct_ids = []
         for i, payload in enumerate(DISTINCT):
             client = ServiceClient(server.url, tenant=f"distinct-{i}")
-            view = client.submit(**payload)
-            if client.last_submit_joined:
-                problems.append(
-                    f"distinct job {i} joined {view.job_id} "
-                    f"(want a fresh admission)"
-                )
-            distinct_ids.append(view.job_id)
+            distinct_ids.append(client.submit(**payload).job_id)
 
         doomed_client = ServiceClient(server.url, tenant="doomed")
         doomed = doomed_client.submit(**DOOMED)
@@ -164,55 +158,95 @@ def main(argv=None) -> int:
 
         service.resume()
         waiter = ServiceClient(server.url, tenant="waiter")
-        shared_view = waiter.wait_result(shared_id, timeout_s=900)
+        identical_views = [waiter.wait_result(jid, timeout_s=900)
+                           for jid in identical_ids]
         distinct_views = [waiter.wait_result(jid, timeout_s=900)
                           for jid in distinct_ids]
 
-        for label, view in [("shared", shared_view)] + [
-            (f"distinct-{i}", v) for i, v in enumerate(distinct_views)
-        ]:
+        labelled = [
+            (f"identical-{i}", v) for i, v in enumerate(identical_views)
+        ] + [(f"distinct-{i}", v) for i, v in enumerate(distinct_views)]
+        for label, view in labelled:
             if view.state != "done":
                 problems.append(f"{label} job ended {view.state}: "
                                 f"{view.error}")
+        for view, tenant in zip(identical_views, tenants):
+            if view.tenant != tenant:
+                problems.append(
+                    f"{view.job_id} belongs to {view.tenant!r}, "
+                    f"want its submitter {tenant!r}"
+                )
+        if any(v.state != "done" for _, v in labelled):
+            return _report(problems)
 
-        shared_fp = shared_view.result["fingerprints"]
+        baseline = (manifest_mod.read_manifest(args.baseline)
+                    if args.baseline else None)
+        shared_fp = identical_views[0].result["fingerprints"]
+        for view in identical_views:
+            fp = view.result["fingerprints"]
+            if fp != shared_fp:
+                problems.append(
+                    f"identical job {view.job_id} fingerprints {fp} != "
+                    f"{identical_views[0].job_id}'s {shared_fp}"
+                )
+            if baseline and baseline.get("fingerprints") != fp:
+                problems.append(
+                    f"identical job {view.job_id} fingerprints diverge "
+                    f"from the serial CLI baseline: {fp} != "
+                    f"{baseline.get('fingerprints')}"
+                )
+
+        # Duplicates share work only through the fleet: the N jobs
+        # together execute no more nodes than one serial run, and all
+        # but the first admission wave are cut off at admission.
+        identical_docs = [manifest_mod.read_manifest(v.result["manifest"])
+                          for v in identical_views]
+        executed = [doc["scheduler"]["totals"]["executed"]
+                    for doc in identical_docs]
+        if baseline:
+            limit = baseline["scheduler"]["totals"]["executed"]
+            if sum(executed) > limit:
+                problems.append(
+                    f"{args.identical} identical jobs executed "
+                    f"{sum(executed)} nodes (per job {executed}), more "
+                    f"than the baseline's {limit}"
+                )
+        cut_off = sum(
+            1 for v in identical_views
+            if v.result["fleet"]["cutoff_cells"] == SHARED_CELLS
+        )
+        want_cut_off = args.identical - args.max_concurrent_jobs
+        if cut_off < want_cut_off:
+            problems.append(
+                f"{cut_off} identical jobs were cut off at admission "
+                f"(want >= {want_cut_off})"
+            )
+
         merged_fp = dict(distinct_views[0].result["fingerprints"])
         merged_fp.update(shared_fp)
         both = distinct_views[1].result["fingerprints"]
         if both != merged_fp:
             problems.append(
-                "distinct jobs disagree with the shared job on "
+                "distinct jobs disagree with the shared grid on "
                 f"overlapping cells: {both} != {merged_fp}"
             )
 
-        if args.baseline:
-            baseline = manifest_mod.read_manifest(args.baseline)
-            if baseline.get("fingerprints") != shared_fp:
-                problems.append(
-                    "shared job fingerprints diverge from the serial CLI "
-                    f"baseline: {shared_fp} != "
-                    f"{baseline.get('fingerprints')}"
-                )
-
-        # Early cutoff: the shared grid, resubmitted once its job is
-        # finished (finished jobs are not joinable), resolves at fleet
-        # admission from the finalize memo - no node claim, no task.
-        resubmitter = ServiceClient(server.url, tenant="resubmit")
-        resubmitted = resubmitter.submit(**SHARED)
-        if resubmitter.last_submit_joined:
-            problems.append(
-                f"resubmission joined {resubmitted.job_id} (want a fresh "
-                f"admission after the shared job finished)"
-            )
+        # Early cutoff: the shared grid, resubmitted once its jobs are
+        # finished, resolves at fleet admission from the finalize memo
+        # - no node claim, no task.
+        resubmitted = ServiceClient(server.url, tenant="resubmit").submit(
+            **SHARED
+        )
         resub_view = waiter.wait_result(resubmitted.job_id, timeout_s=900)
         if resub_view.state != "done":
             problems.append(f"resubmitted job ended {resub_view.state}: "
                             f"{resub_view.error}")
         else:
             cutoff = resub_view.result["fleet"].get("cutoff_cells")
-            if cutoff != 1:
+            if cutoff != SHARED_CELLS:
                 problems.append(
-                    f"resubmitted job cut off {cutoff} cells (want 1)"
+                    f"resubmitted job cut off {cutoff} cells "
+                    f"(want {SHARED_CELLS})"
                 )
             resub_doc = manifest_mod.read_manifest(
                 resub_view.result["manifest"]
@@ -225,21 +259,16 @@ def main(argv=None) -> int:
             resub_fp = resub_view.result["fingerprints"]
             if resub_fp != shared_fp:
                 problems.append(
-                    f"resubmitted job fingerprints {resub_fp} != shared "
-                    f"job's {shared_fp}"
-                )
-            if args.baseline and baseline.get("fingerprints") != resub_fp:
-                problems.append(
-                    "resubmitted job fingerprints diverge from the serial "
-                    f"CLI baseline: {resub_fp} != "
-                    f"{baseline.get('fingerprints')}"
+                    f"resubmitted job fingerprints {resub_fp} != the "
+                    f"identical jobs' {shared_fp}"
                 )
 
-        # The tentpole gate: concurrently admitted overlapping jobs
-        # must have deduped at least one node across job boundaries.
+        # Concurrently admitted overlapping jobs (identical ones
+        # included) must have deduped at least one node across job
+        # boundaries.
         cross_job = sum(
             v.result["fleet"]["cross_job_deduped"]
-            for v in [shared_view] + distinct_views
+            for v in identical_views + distinct_views
         )
         if cross_job < 1:
             problems.append(
@@ -250,11 +279,9 @@ def main(argv=None) -> int:
         metrics = waiter.metrics()
         counters = metrics.get("counters", {})
         expect = {
-            "service.coalesced_jobs": 1,
-            "service.joined_waiters": args.identical - 1,
-            "service.jobs_submitted": 3 + len(DISTINCT),
+            "service.jobs_submitted": args.identical + len(DISTINCT) + 2,
             "service.jobs_rejected": 1,
-            "service.jobs_done": 2 + len(DISTINCT),
+            "service.jobs_done": args.identical + len(DISTINCT) + 1,
             "service.jobs_cancelled": 1,
         }
         for key, want in expect.items():
@@ -271,27 +298,23 @@ def main(argv=None) -> int:
         if args.jobs > 1 and (not pool or pool["rebuilds"] != 0):
             problems.append(f"warm pool unhealthy: {pool}")
 
-        manifest_doc = manifest_mod.read_manifest(
-            shared_view.result["manifest"]
-        )
-        schema_problems = manifest_mod.validate_manifest(manifest_doc)
-        problems.extend(
-            f"shared manifest schema: {p}" for p in schema_problems
-        )
-        waiters = manifest_doc.get("service", {}).get("waiters")
-        if waiters != args.identical:
-            problems.append(
-                f"shared manifest records waiters={waiters}, "
-                f"want {args.identical}"
+        for view, tenant, doc in zip(identical_views, tenants,
+                                     identical_docs):
+            problems.extend(
+                f"{view.job_id} manifest schema: {p}"
+                for p in manifest_mod.validate_manifest(doc)
             )
+            recorded = doc.get("service", {}).get("tenant")
+            if recorded != tenant:
+                problems.append(
+                    f"{view.job_id} manifest records tenant "
+                    f"{recorded!r}, want {tenant!r}"
+                )
 
         # Per-job accounting must stay exact under the fleet: the
         # artifact checker passes on EVERY completed job, the cut-off
-        # resubmission included.
-        for label, view in [("shared", shared_view),
-                            ("resubmitted", resub_view)] + [
-            (f"distinct-{i}", v) for i, v in enumerate(distinct_views)
-        ]:
+        # ones included.
+        for label, view in labelled + [("resubmitted", resub_view)]:
             if view.state != "done":
                 continue
             found = check_run_artifacts.check(
@@ -300,7 +323,9 @@ def main(argv=None) -> int:
             )
             problems.extend(f"{label} artifacts: {p}" for p in found)
 
-        # Stable copies for the follow-up check_run_artifacts step.
+        # Stable copies for the follow-up check_run_artifacts step: the
+        # identical job that executed the shared nodes.
+        shared_view = identical_views[executed.index(max(executed))]
         shutil.copy(shared_view.result["manifest"],
                     out / "shared.manifest.json")
         shutil.copy(shared_view.result["trace"],
@@ -310,17 +335,23 @@ def main(argv=None) -> int:
         service.stop()
 
     if problems:
-        for p in problems:
-            print(f"SMOKE FAIL: {p}")
-        return 1
+        return _report(problems)
     print(
-        f"SMOKE OK: {args.identical} identical submissions -> 1 run "
-        f"({args.identical - 1} joins), {len(DISTINCT)} overlapping jobs "
-        f"cross-job deduped {cross_job} nodes, 1 queued job cancelled, "
-        f"overflow got a structured 429, the resubmitted grid was cut off "
-        f"at admission with 0 tasks, artifacts exact on every job"
+        f"SMOKE OK: {args.identical} identical submissions -> "
+        f"{args.identical} jobs executing {sum(executed)} nodes in all "
+        f"({cut_off} cut off at admission), {len(DISTINCT)} overlapping "
+        f"jobs, cross-job deduped {cross_job} nodes, 1 queued job "
+        f"cancelled, overflow got a structured 429, the resubmitted grid "
+        f"was cut off at admission with 0 tasks, artifacts exact on "
+        f"every job"
     )
     return 0
+
+
+def _report(problems) -> int:
+    for p in problems:
+        print(f"SMOKE FAIL: {p}")
+    return 1
 
 
 if __name__ == "__main__":

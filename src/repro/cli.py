@@ -21,10 +21,10 @@ Subcommands
     Reverse-engineer per-layer geometry from a G-code file (the
     ref [20] attack) and estimate the part volume.
 ``serve``
-    Long-lived multi-tenant job service over the sweep engine: HTTP
-    submissions are queued with admission control, identical in-flight
-    requests coalesce onto one computation, and every job reuses one
-    warm worker pool and disk cache.
+    Long-lived multi-tenant job service over the sweep engine: each
+    HTTP submission is queued as its own job with admission control,
+    duplicate work is deduped in the fleet scheduler, and every job
+    reuses one warm worker pool and disk cache.
 ``taxonomy`` / ``risks``
     Print the paper's Fig. 2 attack taxonomy / Table 1 risk matrix.
 
@@ -355,8 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "serve",
         help="multi-tenant obfuscation job service (versioned /v1 "
-        "HTTP/JSON API, request coalescing, concurrent cross-job "
-        "fleet scheduling and a warm worker pool)",
+        "HTTP/JSON API, one job per submission, concurrent cross-job "
+        "fleet scheduling with node dedup and a warm worker pool)",
         parents=[executor_parent],
     )
     p.add_argument("--host", default="127.0.0.1", help="bind address")
@@ -368,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=16,
         help="admission limit: queued jobs beyond this are rejected with "
-        "a structured 429 (coalesced joins are never rejected)",
+        "a structured 429 (identical submissions count like any other)",
     )
     p.add_argument(
         "--max-tenant-queued",

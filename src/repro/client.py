@@ -18,6 +18,11 @@ Failure semantics:
   they raise :class:`ServiceClientError` carrying the parsed
   :class:`~repro.service.schema.ErrorEnvelope`, so callers branch on
   ``exc.envelope.code`` rather than scraping message strings.
+* A retried ``POST /v1/jobs`` whose first attempt reached the server
+  may create a second job: every accepted submission is its own job.
+  The duplicate costs little, because the fleet shares its nodes with
+  the first while both run and cuts it off at admission once the first
+  has finished.
 * ``wait_result`` loops its long-poll client-side: the server clamps
   one poll to its documented maximum
   (:data:`repro.service.http.MAX_WAIT_S`), so waiting longer is the
@@ -114,9 +119,6 @@ class ServiceClient:
         self.timeout_s = timeout_s
         self.max_retries = max_retries
         self.backoff_s = backoff_s
-        #: Whether the most recent :meth:`submit` coalesced onto an
-        #: in-flight identical job.
-        self.last_submit_joined = False
 
     # -- transport -----------------------------------------------------------
 
@@ -173,19 +175,16 @@ class ServiceClient:
         request: Optional[SubmitRequest] = None,
         **fields: Any,
     ) -> JobView:
-        """``POST /v1/jobs``: returns the (possibly joined) job.
+        """``POST /v1/jobs``: returns the new job.
 
         Pass a :class:`SubmitRequest`, or its fields as kwargs
         (``seed=``, ``resolutions=``, ``orientations=``, ``machine=``,
-        ``priority=``, ``deadline_s=``).  The returned view's
-        ``job_id`` may belong to an earlier identical submission
-        (coalescing); :attr:`last_submit_joined` tells which.
+        ``priority=``, ``deadline_s=``).
         """
         if request is not None and fields:
             raise ValueError("pass a SubmitRequest or kwargs, not both")
         payload = request.to_dict() if request is not None else fields
         doc = self._request("POST", "/jobs", payload=payload)
-        self.last_submit_joined = bool(doc.get("joined"))
         return JobView.from_dict(doc)
 
     def status(self, job_id: str) -> JobView:

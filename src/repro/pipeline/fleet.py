@@ -311,7 +311,7 @@ class FleetScheduler:
         A cell whose finalize memo hits is cut off: it resolves here,
         with no node claimed.  Nodes whose ``(stage, digest)`` already
         exist - created by this job's earlier cells or by *other* jobs
-        - are joined, not re-planned; a joined node that is already
+        - are shared, not re-planned; a shared node that is already
         DONE satisfies the dependency immediately (late fan-out).  A
         job whose every cell is cut off completes here; its callback
         fires from the next :meth:`step`.  Returns ``job``.

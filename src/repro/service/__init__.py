@@ -1,10 +1,12 @@
 """Multi-tenant obfuscation job service (ISSUE 9 + ISSUE 10).
 
 The production face of the reproduction: a long-lived process fronting
-the staged sweep engine with admission control, in-flight request
-coalescing, a concurrent cross-job fleet scheduler and a versioned
-HTTP/JSON API - the shape a counterfeit-resistance evaluation service
-would actually ship in.
+the staged sweep engine with admission control, a concurrent cross-job
+fleet scheduler and a versioned HTTP/JSON API - the shape a
+counterfeit-resistance evaluation service would actually ship in.
+Every accepted submission is its own job, owned by its own tenant;
+duplicate work is removed in one place, the fleet (node dedup while
+identical jobs run together, early cutoff once one has finished).
 
 Layers (each importable on its own):
 
@@ -12,9 +14,8 @@ Layers (each importable on its own):
   now carrying priority/deadline), the job lifecycle (:class:`Job`,
   :class:`JobState` including ``CANCELLED``) and the structured
   refusals (:class:`JobRejected`, :class:`JobValidationError`);
-* :mod:`repro.service.queue` - :class:`JobQueue`: bounded depth,
-  per-tenant *weighted fair* (stride) scheduling, and the coalescing
-  index that joins identical submissions onto one computation;
+* :mod:`repro.service.queue` - :class:`JobQueue`: bounded depth and
+  per-tenant *weighted fair* (stride) scheduling;
 * :mod:`repro.service.schema` - the typed v1 wire shapes
   (:class:`SubmitRequest`, :class:`JobView`, :class:`ErrorEnvelope`)
   shared by the HTTP layer and the :mod:`repro.client` SDK;

@@ -6,16 +6,17 @@ per invocation, paying worker-pool spawn, cold caches and model
 protection every time.  :class:`ObfuscadeService` amortizes all three
 across many requests from many tenants:
 
-* one :class:`~repro.service.queue.JobQueue` admits, coalesces and
-  fairly orders requests (bounded depth, per-tenant weighted fair
-  scheduling, structured 429s);
+* one :class:`~repro.service.queue.JobQueue` admits and fairly orders
+  requests (bounded depth, per-tenant weighted fair scheduling,
+  structured 429s); every accepted submission is its own job, owned by
+  its own tenant;
 * a single dispatcher thread admits up to ``max_concurrent_jobs`` jobs
   into one :class:`~repro.pipeline.FleetScheduler` (ISSUE 10
   tentpole): the admitted jobs' execution graphs merge into one
   fleet-wide node set keyed by ``(stage, content digest)``, so
-  overlapping submissions - even from different tenants - execute each
-  shared tessellate/resolve node exactly once, with results fanned out
-  to every consuming job and per-job accounting kept exact (each job's
+  overlapping jobs - even from different tenants, identical ones
+  included - execute each shared node exactly once, with results fanned
+  out to every consuming job and per-job accounting kept exact (each job's
   manifest + trace still describe precisely its own run, and its
   fingerprints are bit-identical to running alone);
 * one warm :class:`~repro.pipeline.WorkerPool` plus one shared
@@ -52,7 +53,6 @@ from repro.pipeline import (
     FleetJob,
     FleetScheduler,
     WorkerPool,
-    digest_parts,
 )
 from repro.pipeline.chain import PLATE_MARGIN_MM
 from repro.pipeline.resilience import NO_RETRY, RetryPolicy
@@ -152,7 +152,7 @@ class ObfuscadeService:
         self._gate.set()
         self._thread: Optional[threading.Thread] = None
 
-    # -- model / key derivation ----------------------------------------------
+    # -- models --------------------------------------------------------------
 
     def _protected(self, seed: int):
         """The protected model for ``seed``, built once per service."""
@@ -165,49 +165,24 @@ class ObfuscadeService:
                 protected = self._models[seed]
         return protected
 
-    def job_key(self, spec: JobSpec) -> str:
-        """Coalescing key: content address of the job's full input.
-
-        Only result-determining facts participate (model digest,
-        machine, grid) - executor knobs like worker count, priority or
-        deadline change the wall-clock, not the artifacts, so they
-        must not split otherwise-identical jobs.  The grid is
-        order-normalized (cell order changes nothing) and the *model
-        digest*, not the seed, represents the geometry - two seeds
-        that build identical geometry are the same computation and
-        coalesce.
-        """
-        protected = self._protected(spec.seed)
-        return digest_parts(
-            "service-job",
-            model_digest(protected.model),
-            spec.machine,
-            ",".join(sorted(spec.resolutions)),
-            ",".join(sorted(spec.orientations)),
-        )
-
     # -- submission / lookup -------------------------------------------------
 
-    def submit(self, payload: Any, tenant: str = "anon") -> Tuple[Job, bool]:
-        """Validate + admit one request; returns ``(job, joined)``.
+    def submit(self, payload: Any, tenant: str = "anon") -> Job:
+        """Validate + queue one request as a new job owned by ``tenant``.
 
         Raises :class:`~repro.service.jobs.JobValidationError` (bad
         request) or :class:`~repro.service.jobs.JobRejected`
         (backpressure); the HTTP layer maps them to 400/429.
         """
-        spec = JobSpec.from_request(payload)
-        key = self.job_key(spec)
         job = Job(
             job_id=f"job-{next(self._seq):05d}",
-            spec=spec,
+            spec=JobSpec.from_request(payload),
             tenant=tenant,
-            key=key,
         )
-        admitted, joined = self.queue.submit(job)
-        if not joined:
-            with self._lock:
-                self._jobs[admitted.job_id] = admitted
-        return admitted, joined
+        self.queue.submit(job)
+        with self._lock:
+            self._jobs[job.job_id] = job
+        return job
 
     def get(self, job_id: str) -> Optional[Job]:
         with self._lock:
@@ -244,7 +219,7 @@ class ObfuscadeService:
 
     def start(self, paused: bool = False) -> None:
         """Start the dispatcher thread (``paused=True`` keeps it idle
-        until :meth:`resume` - used by tests to pile up joins
+        until :meth:`resume` - used by tests to pile up submissions
         deterministically)."""
         if self._thread is not None:
             raise RuntimeError("service already started")
@@ -264,8 +239,8 @@ class ObfuscadeService:
     def stop(self) -> None:
         """Stop dispatching and tear the warm pool down (idempotent).
 
-        Jobs still admitted to the fleet are cancelled (their waiters
-        unblock with a terminal state rather than hanging)."""
+        Jobs still admitted to the fleet are cancelled (anyone waiting
+        on them unblocks with a terminal state rather than hanging)."""
         self._stop.set()
         self._gate.set()
         if self._thread is not None:
@@ -303,7 +278,7 @@ class ObfuscadeService:
         if job.cancel_requested:
             job.mark_cancelled()
             self.metrics.inc("service.jobs_cancelled")
-            self.queue.finish(job)
+            self.queue.finish()
             return
         started = time.perf_counter()
         try:
@@ -344,7 +319,7 @@ class ObfuscadeService:
                 "message": str(exc),
             })
             self.metrics.inc("service.jobs_failed")
-            self.queue.finish(job)
+            self.queue.finish()
 
     def _on_fleet_complete(self, fleet_job: FleetJob) -> None:
         """Fleet completion callback: publish one job's terminal state."""
@@ -420,10 +395,7 @@ class ObfuscadeService:
             self.metrics.observe(
                 "service.job_s", time.perf_counter() - started
             )
-            # Terminal state is already visible, so a submission racing
-            # this retire either joins a finished job (result attached)
-            # or starts a fresh, cache-warm run - never hangs.
-            self.queue.finish(job)
+            self.queue.finish()
 
     def _write_manifest(self, job, fleet_job, protected, report, spans,
                         trace_path):
@@ -453,7 +425,6 @@ class ObfuscadeService:
         doc["service"] = {
             "job_id": job.job_id,
             "tenant": job.tenant,
-            "waiters": job.waiters,
             "priority": job.spec.priority,
             "deadline_s": job.spec.deadline_s,
             "queue": self.queue.snapshot(),

@@ -18,11 +18,14 @@ non-2xx response carries the one
     optional), e.g. ``{"seed": 7, "resolutions": ["coarse"],
     "orientations": ["x-y"], "machine": "fdm", "priority": 2,
     "deadline_s": 120}``.  Tenant comes from the ``X-Tenant`` header
-    (default ``anon``).  **202** with the
-    :class:`~repro.service.schema.JobView` plus a top-level
-    ``joined`` flag (true when the request coalesced onto an in-flight
-    identical job); **400** ``invalid_request``; **429** ``queue_full``
-    / ``tenant_quota`` with the admission numbers in ``detail``.
+    (default ``anon``).  Every accepted request is a new job of its
+    tenant; identical jobs share work in the fleet, not a ``job_id``.
+    **202** with the :class:`~repro.service.schema.JobView` plus a
+    top-level ``joined`` flag, fixed at ``false`` in v1; **400**
+    ``invalid_request`` (also for a non-integer or negative
+    ``Content-Length``; no header means an empty body, i.e. all
+    defaults); **429** ``queue_full`` / ``tenant_quota`` with the
+    admission numbers in ``detail``.
 ``GET /v1/jobs/{id}``
     **200** JobView, **404** ``not_found``.
 ``GET /v1/jobs/{id}/result?wait=S``
@@ -50,7 +53,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
-from repro.service.jobs import JobRejected, JobState, JobValidationError
+from repro.service.jobs import JobRejected, JobValidationError
 from repro.service.schema import API_VERSION, ErrorEnvelope, JobView
 
 #: Server-side clamp on ``?wait=`` long-polls, seconds.  Documented in
@@ -114,10 +117,18 @@ class _Handler(BaseHTTPRequestHandler):
             self._not_found()
             return
         service = self.server.service
-        try:
-            length = int(self.headers.get("Content-Length") or 0)
-        except ValueError:
-            length = 0
+        declared = self.headers.get("Content-Length", "0").strip()
+        if not (declared.isascii() and declared.isdigit()):
+            # The body cannot be delimited, so it is left unread and
+            # the connection closes after the error.
+            self.close_connection = True
+            self._send_error(400, ErrorEnvelope(
+                code="invalid_request",
+                message=f"Content-Length must be a non-negative integer "
+                        f"(got {declared!r})",
+            ))
+            return
+        length = int(declared)
         raw = self.rfile.read(length) if length else b"{}"
         try:
             payload = json.loads(raw or b"{}")
@@ -129,7 +140,7 @@ class _Handler(BaseHTTPRequestHandler):
             return
         tenant = self.headers.get("X-Tenant") or "anon"
         try:
-            job, joined = service.submit(payload, tenant=tenant)
+            job = service.submit(payload, tenant=tenant)
         except JobValidationError as exc:
             self._send_error(400, ErrorEnvelope(
                 code="invalid_request", message=str(exc),
@@ -140,7 +151,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_error(429, ErrorEnvelope.from_rejection(exc))
             return
         doc = JobView.from_job(job).to_dict()
-        doc["joined"] = joined
+        doc["joined"] = False  # v1 wire field; submissions never join
         self._send_json(202, doc)
 
     def do_GET(self) -> None:  # noqa: N802 - stdlib naming

@@ -4,11 +4,9 @@ A *job* is one counterfeit-resistance evaluation - "grid-search these
 process settings against the protected model of this seed" - exactly
 what the ``sweep``/``attack`` CLI commands run once and exit.  The
 service runs many of them back-to-back for many callers, so jobs carry
-tenant attribution, a lifecycle state machine and a *coalescing key*:
-the content address of everything that determines the job's result.
-Two submissions with equal keys are the same computation, and the
-queue joins the later one onto the earlier instead of running it twice
-(ISSUE 9 tentpole).
+tenant attribution and a lifecycle state machine.  Every accepted
+submission is its own job, owned by the tenant that sent it; two
+identical jobs share their work in the fleet, never their identity.
 """
 
 from __future__ import annotations
@@ -165,21 +163,15 @@ class JobSpec:
 class Job:
     """One submitted job: spec + tenant + lifecycle + result slot.
 
-    ``waiters`` counts the submissions this job serves (1 for the
-    original, +1 per coalesced join); every waiter polls the same
-    ``job_id``.  Completion is signalled through an event so HTTP
-    handlers can long-poll ``wait()`` without spinning.
+    Completion is signalled through an event so HTTP handlers can
+    long-poll ``wait()`` without spinning.
     """
 
-    def __init__(self, job_id: str, spec: JobSpec, tenant: str, key: str):
+    def __init__(self, job_id: str, spec: JobSpec, tenant: str):
         self.job_id = job_id
         self.spec = spec
         self.tenant = tenant
-        #: Coalescing key: content address of everything determining
-        #: the result (model digest, machine, grid).
-        self.key = key
         self.state = JobState.QUEUED
-        self.waiters = 0
         self.created_s = time.time()
         self.started_s: Optional[float] = None
         self.finished_s: Optional[float] = None
@@ -218,20 +210,3 @@ class Job:
         self.state = JobState.CANCELLED
         self.finished_s = time.time()
         self._done.set()
-
-    def snapshot(self) -> Dict[str, Any]:
-        """The status-endpoint view of this job."""
-        doc: Dict[str, Any] = {
-            "job_id": self.job_id,
-            "state": self.state.value,
-            "tenant": self.tenant,
-            "key": self.key,
-            "waiters": self.waiters,
-            "spec": self.spec.to_dict(),
-            "created_s": self.created_s,
-            "started_s": self.started_s,
-            "finished_s": self.finished_s,
-        }
-        if self.error is not None:
-            doc["error"] = self.error
-        return doc

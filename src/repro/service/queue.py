@@ -1,31 +1,22 @@
-"""Bounded, tenant-fair job queue with in-flight request coalescing.
+"""Bounded, tenant-fair job queue.
 
-Admission control and coalescing live together because they see the
-same races: whether a submission *joins* an existing computation,
-*queues* a new one, or is *rejected* must be decided under one lock,
-or two identical submissions arriving together could both queue (a
-missed coalesce) or a join could land on a job that just finished.
+Every accepted submission is its own job, tagged with its own tenant;
+identical jobs share work only downstream, in the fleet (cross-job
+node dedup while both run, early cutoff once one has finished).  What
+the queue decides, under one lock:
 
-* **Coalescing** - a submission whose key matches a queued *or
-  running* job joins it: the caller gets the existing job (and its
-  ``job_id``) back, ``joined_waiters`` counts every join, and
-  ``coalesced_jobs`` counts jobs that absorbed at least one.  A
-  matching job that already finished is *not* joined - results are
-  served from the artifact cache on re-execution, not from a
-  potentially evicted result slot.
 * **Backpressure** - the queue holds at most ``max_depth`` queued jobs
   in total and (optionally) ``max_tenant_queued`` per tenant; beyond
   either, :class:`~repro.service.jobs.JobRejected` carries a
-  structured refusal the HTTP layer maps to 429.  Joins are never
-  rejected: they add no work.
+  structured refusal the HTTP layer maps to 429.
 * **Fairness** - :meth:`take` serves tenants by *stride scheduling*:
   each tenant accrues virtual time ``1/weight`` per job served, and
   the backlogged tenant with the least virtual time goes next (ties
   break in rotation order).  With equal weights this degenerates to
-  the round-robin of ISSUE 9; unequal ``weights`` give a tenant a
-  proportionally larger share without ever starving the others.
-  Within one tenant's backlog, jobs are served by priority (lower
-  first), FIFO among equals.
+  round-robin; unequal ``weights`` give a tenant a proportionally
+  larger share without ever starving the others.  Within one tenant's
+  backlog, jobs are served by priority (lower first), FIFO among
+  equals.
 * **Cancellation** - :meth:`cancel` removes a still-queued job in
   O(backlog); running jobs are the dispatcher's to cancel.
 """
@@ -35,13 +26,13 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict, deque
-from typing import Any, Deque, Dict, Mapping, Optional, Tuple
+from typing import Any, Deque, Dict, Mapping, Optional
 
 from repro.service.jobs import Job, JobRejected, JobState
 
 
 class JobQueue:
-    """The service's admission, coalescing and dispatch order."""
+    """The service's admission control and dispatch order."""
 
     def __init__(
         self,
@@ -70,8 +61,6 @@ class JobQueue:
         #: tenant -> queued jobs; OrderedDict order is the stride
         #: tie-break rotation.
         self._pending: "OrderedDict[str, Deque[Job]]" = OrderedDict()
-        #: key -> queued-or-running job, the coalescing index.
-        self._active: Dict[str, Job] = {}
         #: Stride state: virtual time accrued per tenant (persists
         #: across idle periods, clamped forward on re-entry so a
         #: long-idle tenant cannot monopolise the queue with credit).
@@ -80,8 +69,6 @@ class JobQueue:
         self.served: Dict[str, int] = {}
         # Lifetime counters (mirrored into ``metrics`` when given).
         self.submitted = 0
-        self.joined_waiters = 0
-        self.coalesced_jobs = 0
         self.rejected = 0
         self.completed = 0
         self.cancelled = 0
@@ -95,25 +82,13 @@ class JobQueue:
 
     # -- admission -----------------------------------------------------------
 
-    def submit(self, job: Job) -> Tuple[Job, bool]:
-        """Admit ``job``: returns ``(job_to_poll, joined)``.
+    def submit(self, job: Job) -> Job:
+        """Queue ``job`` and return it.
 
-        ``joined`` is True when the submission coalesced onto an
-        in-flight job - the returned job is *that* one, not the
-        argument.  Raises :class:`JobRejected` when the queue (or the
-        tenant's slice of it) is full.
+        Raises :class:`JobRejected` when the queue (or the tenant's
+        slice of it) is full.
         """
         with self._has_work:
-            existing = self._active.get(job.key)
-            if existing is not None and not existing.finished:
-                existing.waiters += 1
-                self.joined_waiters += 1
-                self._inc("service.joined_waiters")
-                if existing.waiters == 2:
-                    # First join: this job now serves >1 submission.
-                    self.coalesced_jobs += 1
-                    self._inc("service.coalesced_jobs")
-                return existing, True
             depth = sum(len(q) for q in self._pending.values())
             if depth >= self.max_depth:
                 self.rejected += 1
@@ -158,13 +133,11 @@ class JobQueue:
                     self._vt.get(job.tenant, 0.0), floor
                 )
             job.state = JobState.QUEUED
-            job.waiters = 1
             mine.append(job)
-            self._active[job.key] = job
             self.submitted += 1
             self._inc("service.jobs_submitted")
             self._has_work.notify()
-            return job, False
+            return job
 
     # -- dispatch ------------------------------------------------------------
 
@@ -211,9 +184,6 @@ class JobQueue:
 
         Blocks up to ``timeout`` seconds (forever when ``None``;
         ``0`` polls without blocking); returns ``None`` on timeout.
-        The job stays in the coalescing index while it runs, so
-        identical submissions keep joining until the dispatcher calls
-        :meth:`finish`.
         """
         deadline = (
             time.monotonic() + timeout if timeout is not None else None
@@ -244,19 +214,14 @@ class JobQueue:
             backlog.remove(job)
             if not backlog:
                 del self._pending[job.tenant]
-            if self._active.get(job.key) is job:
-                del self._active[job.key]
             self.cancelled += 1
             self._inc("service.jobs_cancelled")
             return True
 
-    def finish(self, job: Job) -> None:
-        """Retire ``job`` from the coalescing index (call after the
-        job's terminal state is set, so late submissions either join a
-        visible result or start a fresh - cache-warm - run)."""
+    def finish(self) -> None:
+        """Count one job as completed (call once its terminal state is
+        set)."""
         with self._lock:
-            if self._active.get(job.key) is job:
-                del self._active[job.key]
             self.completed += 1
 
     # -- introspection -------------------------------------------------------
@@ -276,8 +241,6 @@ class JobQueue:
                 "weights": dict(self.weights),
                 "served": dict(self.served),
                 "submitted": self.submitted,
-                "joined_waiters": self.joined_waiters,
-                "coalesced_jobs": self.coalesced_jobs,
                 "rejected": self.rejected,
                 "completed": self.completed,
                 "cancelled": self.cancelled,

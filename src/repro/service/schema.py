@@ -64,7 +64,9 @@ class JobView:
 
     ``result`` is present only when the job is ``done`` (and the
     caller asked for it via the result endpoint); ``error`` only when
-    it is ``failed`` or ``cancelled``.
+    it is ``failed`` or ``cancelled``.  ``waiters`` is fixed at 1 in
+    v1: every submission is its own job, and the field stays for wire
+    stability.
     """
 
     job_id: str
@@ -85,7 +87,7 @@ class JobView:
             job_id=job.job_id,
             state=job.state.value,
             tenant=job.tenant,
-            waiters=job.waiters,
+            waiters=1,
             spec=job.spec.to_dict(),
             created_s=job.created_s,
             started_s=job.started_s,

@@ -41,17 +41,20 @@ def live(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def finished(live):
-    """One job submitted (twice - proving coalescing), run to done."""
+    """One payload submitted twice by two tenants (as kwargs, then as a
+    SubmitRequest): two jobs, both run to done."""
     service, server = live
     first = ServiceClient(server.url, tenant="alice")
     second = ServiceClient(server.url, tenant="bob")
     view = first.submit(**PAYLOAD)
-    assert first.last_submit_joined is False
-    joined = second.submit(SubmitRequest(**PAYLOAD))
-    assert second.last_submit_joined is True
-    assert joined.job_id == view.job_id
+    twin = second.submit(SubmitRequest(**PAYLOAD))
+    assert twin.job_id != view.job_id
     service.resume()
     final = first.wait_result(view.job_id, timeout_s=600)
+    twin_final = second.wait_result(twin.job_id, timeout_s=600)
+    assert twin_final.state == "done" and twin_final.tenant == "bob"
+    assert twin_final.waiters == 1
+    assert twin_final.result["fingerprints"] == final.result["fingerprints"]
     return first, view.job_id, final
 
 
@@ -86,8 +89,10 @@ class TestRoundTrip:
         assert metrics["counters"].get("service.jobs_done", 0) >= 1
 
     def test_waiters_recorded_for_joined_submission(self, finished):
+        """The v1 ``waiters`` field survives, fixed at 1: a repeated
+        payload is a second job, never a second waiter."""
         client, job_id, _ = finished
-        assert client.status(job_id).waiters == 2
+        assert client.status(job_id).waiters == 1
 
 
 class TestErrorContract:

@@ -3,16 +3,20 @@
 Three tiers:
 
 * pure-unit: :class:`JobSpec` validation, :class:`JobQueue` admission /
-  coalescing / fairness, :class:`WorkerPool` lifecycle - no sweeps run;
+  fairness, :class:`WorkerPool` lifecycle - no sweeps run;
 * admission-over-HTTP against a service whose dispatcher never starts
-  (structured 400/429, never a hang);
-* one real end-to-end flow (module-scoped): three submissions coalesce
-  onto one job while a distinct job rides alongside, the dispatcher
-  executes both, and the results/manifests/metrics are checked against
-  a direct in-process sweep of the same grid.
+  (structured 400/429, never a hang), malformed ``Content-Length``
+  included;
+* one real end-to-end flow (module-scoped): three identical
+  submissions become three jobs while a distinct job rides alongside,
+  the dispatcher executes all four, and the results/manifests/metrics
+  are checked against a direct in-process sweep of the same grid;
+* tenant isolation: identical submissions from two tenants stay two
+  jobs, each cancellable and quota-counted only by its own tenant.
 """
 
 import json
+import socket
 import sys
 import threading
 import time
@@ -51,6 +55,24 @@ def _http(method, url, payload=None, tenant=None, timeout=180):
         return exc.code, json.loads(exc.read())
 
 
+def _raw_post(address, content_length, body=b'{"seed": 3}'):
+    """``POST /v1/jobs`` over a raw socket with a hand-written
+    ``Content-Length`` (``None`` omits the header); the body is sent
+    but the socket is never half-closed, so a server that waits for
+    more bytes times the test out instead of reading to EOF."""
+    head = "POST /v1/jobs HTTP/1.1\r\nHost: localhost\r\n"
+    if content_length is not None:
+        head += f"Content-Length: {content_length}\r\n"
+    with socket.create_connection(address, timeout=10) as sock:
+        sock.sendall(head.encode() + b"\r\n" + body)
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    status, _, payload = reply.partition(b"\r\n\r\n")
+    assert status, "connection closed without a response"
+    return int(status.split()[1]), json.loads(payload)
+
+
 class TestJobSpec:
     def test_defaults(self):
         spec = JobSpec.from_request({})
@@ -80,31 +102,11 @@ class TestJobSpec:
             JobSpec.from_request(payload)
 
 
-def _job(jid, tenant="t", key=None):
-    return Job(jid, JobSpec(), tenant, key or f"key-{jid}")
+def _job(jid, tenant="t"):
+    return Job(jid, JobSpec(), tenant)
 
 
 class TestJobQueue:
-    def test_coalesce_joins_queued_job(self):
-        q = JobQueue(max_depth=4)
-        first, joined = q.submit(_job("j1", key="K"))
-        assert not joined and first.waiters == 1
-        same, joined = q.submit(_job("j2", key="K"))
-        assert joined and same is first and first.waiters == 2
-        assert q.joined_waiters == 1 and q.coalesced_jobs == 1
-        assert q.depth() == 1  # a join adds no queue entry
-
-    def test_running_job_still_joinable_until_finish(self):
-        q = JobQueue(max_depth=4)
-        first, _ = q.submit(_job("j1", key="K"))
-        assert q.take(timeout=1) is first
-        _, joined = q.submit(_job("j2", key="K"))
-        assert joined
-        first.mark_done({})
-        q.finish(first)
-        fresh, joined = q.submit(_job("j3", key="K"))
-        assert not joined and fresh is not first  # finished: re-execute
-
     def test_queue_full_is_structured(self):
         q = JobQueue(max_depth=2)
         q.submit(_job("j1"))
@@ -115,12 +117,6 @@ class TestJobQueue:
         assert doc["code"] == "queue_full"
         assert doc["queue_depth"] == 2 and doc["max_depth"] == 2
         assert q.rejected == 1
-
-    def test_joins_never_rejected_at_capacity(self):
-        q = JobQueue(max_depth=1)
-        q.submit(_job("j1", key="K"))
-        _, joined = q.submit(_job("j2", key="K"))  # full, but no new work
-        assert joined
 
     def test_tenant_quota(self):
         q = JobQueue(max_depth=8, max_tenant_queued=1)
@@ -181,8 +177,9 @@ class TestWorkerPool:
 
 @pytest.fixture
 def make_admission(tmp_path):
-    """Factory for services whose dispatcher never starts: admission
-    control (and its HTTP mapping) in isolation, no sweeps run."""
+    """Factory for HTTP-fronted services whose dispatcher stays
+    unstarted unless a test starts it: admission control (and its HTTP
+    mapping) in isolation, no sweeps run."""
     built = []
 
     def build(**kwargs):
@@ -204,13 +201,14 @@ def admission(make_admission):
 
 
 class TestAdmissionOverHttp:
-    def test_fill_then_429_then_join_still_admitted(self, admission):
+    def test_fill_then_429_even_for_identical_resubmission(self, admission):
         base = {"seed": 7, "resolutions": ["coarse"]}
         code, first = _http(
             "POST", admission.url + "/v1/jobs",
             {**base, "orientations": ["x-y"]}, tenant="alice",
         )
-        assert code == 202 and not first["joined"]
+        assert code == 202 and first["joined"] is False
+        assert first["waiters"] == 1
         code, _ = _http(
             "POST", admission.url + "/v1/jobs",
             {**base, "orientations": ["x-z"]}, tenant="bob",
@@ -225,13 +223,13 @@ class TestAdmissionOverHttp:
         assert doc["error"]["code"] == "queue_full"
         detail = doc["error"]["detail"]
         assert detail["queue_depth"] == 2 and detail["max_depth"] == 2
-        # But an identical resubmission joins: no new work, never a 429.
+        # An identical resubmission would be a new job: also a 429.
         code, doc = _http(
             "POST", admission.url + "/v1/jobs",
             {**base, "orientations": ["x-y"]}, tenant="carol",
         )
-        assert code == 202 and doc["joined"]
-        assert doc["job_id"] == first["job_id"] and doc["waiters"] == 2
+        assert code == 429 and doc["error"]["code"] == "queue_full"
+        assert admission.service.queue.depth() == 2
 
     def test_tenant_quota_429(self, make_admission):
         quota = make_admission(queue_depth=8, max_tenant_queued=1)
@@ -262,6 +260,20 @@ class TestAdmissionOverHttp:
         code, doc = _http("POST", admission.url + "/v1/jobs", payload)
         assert code == 400 and doc["error"]["code"] == "invalid_request"
 
+    @pytest.mark.parametrize("length", ["abc", "-1", "-5"])
+    def test_malformed_content_length_is_400(self, admission, length):
+        """A body that cannot be delimited is refused, not guessed at:
+        no job is queued, and the handler neither blocks nor drops the
+        connection."""
+        code, doc = _raw_post(admission.server.address, length)
+        assert code == 400 and doc["error"]["code"] == "invalid_request"
+        assert admission.service.queue.submitted == 0
+
+    def test_missing_content_length_selects_defaults(self, admission):
+        code, doc = _raw_post(admission.server.address, None)
+        assert code == 202
+        assert doc["spec"] == JobSpec().to_dict()
+
     def test_unknown_routes_404(self, admission):
         assert _http("GET", admission.url + "/v1/jobs/job-99999")[0] == 404
         assert _http("GET", admission.url + "/nope")[0] == 404
@@ -280,31 +292,70 @@ class TestAdmissionOverHttp:
 GRID = {"seed": 7, "resolutions": ["coarse"], "orientations": ["x-y"]}
 
 
+def _checker():
+    sys.path.insert(0, str(REPO / "scripts"))
+    try:
+        import check_run_artifacts
+    finally:
+        sys.path.pop(0)
+    return check_run_artifacts
+
+
+@pytest.fixture(scope="module")
+def direct_fingerprints(tmp_path_factory):
+    """GRID's fingerprints from a direct in-process simulator run on a
+    cold cache: the service is an execution plan, not a different
+    pipeline, so every service job of GRID must reproduce them."""
+    from repro.obfuscade.attack import CounterfeiterSimulator
+    from repro.obfuscade.obfuscator import Obfuscator
+    from repro.pipeline import ProcessChain
+    from repro.service.jobs import MACHINES, ORIENTATIONS, RESOLUTIONS
+
+    sim = CounterfeiterSimulator(
+        resolutions=[RESOLUTIONS["coarse"]],
+        orientations=[ORIENTATIONS["x-y"]],
+        chain=ProcessChain(machine=MACHINES["fdm"]),
+        cache_dir=str(tmp_path_factory.mktemp("direct-cache")),
+    )
+    result = sim.attack(Obfuscator(seed=7).protect_tensile_bar())
+    return {
+        f"{c.resolution}/{c.orientation}": c.fingerprint
+        for c in result.report.cells
+    }
+
+
 @pytest.fixture(scope="module")
 def flow(tmp_path_factory):
-    """The end-to-end coalescing flow; every test below reads from it."""
+    """The end-to-end flow; every test below reads from it.  Three
+    identical submissions from three tenants (the third over HTTP) and
+    one distinct job are queued while the dispatcher is paused."""
     root = tmp_path_factory.mktemp("svc-flow")
     service = ObfuscadeService(cache_dir=root / "cache", queue_depth=8)
     server = ServiceServer(service, port=0)
     server.start()
-    service.start(paused=True)  # pile the joins up deterministically
+    service.start(paused=True)  # queue every submission before any runs
 
-    shared, joined0 = service.submit(dict(GRID), tenant="alice")
-    _, joined1 = service.submit(dict(GRID), tenant="bob")
+    first = service.submit(dict(GRID), tenant="alice")
+    second = service.submit(dict(GRID), tenant="bob")
     code, http_doc = _http(
         "POST", server.url + "/v1/jobs", GRID, tenant="carol"
     )
-    distinct, joined2 = service.submit(
+    third = service.get(http_doc["job_id"])
+    distinct = service.submit(
         {**GRID, "orientations": ["x-z"]}, tenant="alice"
     )
     service.resume()
-    assert shared.wait(timeout=600) and distinct.wait(timeout=600)
+    identical = (first, second, third)
+    for job in identical + (distinct,):
+        assert job.wait(timeout=600)
     yield SimpleNamespace(
         service=service,
         url=server.url,
-        shared=shared,
+        shared=first,
+        identical=identical,
+        tenants=("alice", "bob", "carol"),
         distinct=distinct,
-        joined=(joined0, joined1, code, http_doc, joined2),
+        http=(code, http_doc),
         root=root,
     )
     server.stop()
@@ -312,76 +363,64 @@ def flow(tmp_path_factory):
 
 
 class TestEndToEnd:
-    def test_identical_submissions_coalesce_onto_one_job(self, flow):
-        joined0, joined1, code, http_doc, joined2 = flow.joined
-        assert not joined0 and joined1
-        assert code == 202 and http_doc["joined"]
-        assert http_doc["job_id"] == flow.shared.job_id
-        assert not joined2  # different orientation: a different job
-        assert flow.shared.waiters == 3
-        assert flow.service.queue.coalesced_jobs == 1
-        assert flow.service.queue.joined_waiters == 2
-        assert flow.service.queue.submitted == 2  # two real computations
+    def test_identical_submissions_are_separate_jobs(self, flow):
+        code, http_doc = flow.http
+        assert code == 202
+        assert http_doc["joined"] is False and http_doc["waiters"] == 1
+        ids = {job.job_id for job in flow.identical}
+        assert len(ids) == 3 and flow.distinct.job_id not in ids
+        assert tuple(job.tenant for job in flow.identical) == flow.tenants
+        assert flow.service.queue.submitted == 4
 
     def test_jobs_complete_with_distinct_results(self, flow):
-        assert flow.shared.state is JobState.DONE
-        assert flow.distinct.state is JobState.DONE
+        for job in flow.identical + (flow.distinct,):
+            assert job.state is JobState.DONE
         fp_shared = flow.shared.result["fingerprints"]
         fp_distinct = flow.distinct.result["fingerprints"]
         assert len(fp_shared) == 1 and len(fp_distinct) == 1
         assert set(fp_shared) != set(fp_distinct)
 
-    def test_fingerprints_match_direct_sweep(self, flow, tmp_path):
-        """The service is an execution plan, not a different pipeline:
-        a direct in-process simulator run of the same grid on a cold
-        cache produces bit-identical fingerprints."""
-        from repro.obfuscade.attack import CounterfeiterSimulator
-        from repro.obfuscade.obfuscator import Obfuscator
-        from repro.pipeline import ProcessChain
-        from repro.service.jobs import MACHINES, ORIENTATIONS, RESOLUTIONS
+    def test_fingerprints_match_direct_sweep(self, flow, direct_fingerprints):
+        for job in flow.identical:
+            assert job.result["fingerprints"] == direct_fingerprints
 
-        sim = CounterfeiterSimulator(
-            resolutions=[RESOLUTIONS["coarse"]],
-            orientations=[ORIENTATIONS["x-y"]],
-            chain=ProcessChain(machine=MACHINES["fdm"]),
-            cache_dir=str(tmp_path / "direct-cache"),
-        )
-        result = sim.attack(Obfuscator(seed=7).protect_tensile_bar())
-        direct = {
-            f"{c.resolution}/{c.orientation}": c.fingerprint
-            for c in result.report.cells
-        }
-        assert direct == flow.shared.result["fingerprints"]
+    def test_identical_jobs_execute_no_node_twice(self, flow):
+        """Duplicates share work through the fleet only: together the
+        three jobs execute no more stage nodes than one of them."""
+        from repro.observability import manifest as manifest_mod
+
+        executed = [
+            manifest_mod.read_manifest(job.result["manifest"])
+            ["scheduler"]["totals"]["executed"]
+            for job in flow.identical
+        ]
+        assert 0 < sum(executed) <= max(executed)
 
     def test_manifest_records_service_provenance(self, flow):
         from repro.observability import manifest as manifest_mod
 
-        doc = manifest_mod.read_manifest(flow.shared.result["manifest"])
-        assert manifest_mod.validate_manifest(doc) == []
-        assert doc["config"]["command"] == "serve"
-        service_block = doc["service"]
-        assert service_block["job_id"] == flow.shared.job_id
-        assert service_block["tenant"] == "alice"
-        assert service_block["waiters"] == 3
+        for job, tenant in zip(flow.identical, flow.tenants):
+            doc = manifest_mod.read_manifest(job.result["manifest"])
+            assert manifest_mod.validate_manifest(doc) == []
+            assert doc["config"]["command"] == "serve"
+            service_block = doc["service"]
+            assert service_block["job_id"] == job.job_id
+            assert service_block["tenant"] == tenant
+            assert "waiters" not in service_block
 
     def test_artifact_checker_passes_on_service_output(self, flow):
-        sys.path.insert(0, str(REPO / "scripts"))
-        try:
-            import check_run_artifacts
-        finally:
-            sys.path.pop(0)
-        problems = check_run_artifacts.check(
-            flow.shared.result["trace"],
-            flow.shared.result["manifest"],
-            jobs=1,
-        )
-        assert problems == []
+        check_run_artifacts = _checker()
+        for job in flow.identical:
+            assert check_run_artifacts.check(
+                job.result["trace"], job.result["manifest"], jobs=1,
+            ) == []
 
     def test_status_and_result_endpoints(self, flow):
         code, doc = _http(
             "GET", flow.url + f"/v1/jobs/{flow.shared.job_id}"
         )
         assert code == 200 and doc["state"] == "done"
+        assert doc["waiters"] == 1
         code, doc = _http(
             "GET", flow.url + f"/v1/jobs/{flow.shared.job_id}/result?wait=5"
         )
@@ -393,30 +432,67 @@ class TestEndToEnd:
         code, doc = _http("GET", flow.url + "/v1/metrics")
         assert code == 200
         counters = doc["counters"]
-        assert counters["service.jobs_done"] >= 2
-        assert counters["service.coalesced_jobs"] == 1
-        assert counters["service.joined_waiters"] == 2
-        assert doc["queue"]["completed"] >= 2
+        assert counters["service.jobs_done"] >= 4
+        assert doc["queue"]["completed"] >= 4
 
     def test_resubmit_after_completion_reexecutes_warm(self, flow):
-        """A finished job is not joinable (its result slot may age
-        out); an identical late submission is a fresh job, cut off at
-        fleet admission from the finalize memo, that still publishes
-        the same fingerprints and exact artifacts."""
-        job, joined = flow.service.submit(dict(GRID), tenant="dave")
-        assert not joined and job is not flow.shared
+        """An identical submission after completion is a fresh job,
+        cut off at fleet admission from the finalize memo, that still
+        publishes the same fingerprints and exact artifacts."""
+        job = flow.service.submit(dict(GRID), tenant="dave")
+        assert job not in flow.identical
         assert job.wait(timeout=600)
         assert job.state is JobState.DONE
         assert job.result["fingerprints"] == flow.shared.result["fingerprints"]
         assert job.result["fleet"]["cutoff_cells"] == 1
-        sys.path.insert(0, str(REPO / "scripts"))
-        try:
-            import check_run_artifacts
-        finally:
-            sys.path.pop(0)
-        assert check_run_artifacts.check(
+        assert _checker().check(
             job.result["trace"], job.result["manifest"], jobs=1
         ) == []
+
+
+class TestTenantIsolation:
+    """Identical submissions from two tenants are two jobs: neither
+    tenant can see, cancel or spend the other's."""
+
+    def test_cancel_reaches_only_the_cancelling_tenants_job(
+        self, make_admission, direct_fingerprints
+    ):
+        svc = make_admission()
+        svc.service.start(paused=True)
+        url = svc.url + "/v1/jobs"
+        code_a, view_a = _http("POST", url, GRID, tenant="tenant-a")
+        code_b, view_b = _http("POST", url, GRID, tenant="tenant-b")
+        assert code_a == code_b == 202
+        assert view_a["job_id"] != view_b["job_id"]
+        assert view_a["tenant"] == "tenant-a"
+        assert view_b["tenant"] == "tenant-b"
+
+        code, cancelled = _http("DELETE", url + "/" + view_b["job_id"])
+        assert code == 200 and cancelled["state"] == "cancelled"
+        job_a = svc.service.get(view_a["job_id"])
+        assert job_a.state is JobState.QUEUED
+
+        svc.service.resume()
+        assert job_a.wait(timeout=600)
+        assert job_a.state is JobState.DONE
+        assert job_a.result["fingerprints"] == direct_fingerprints
+
+    def test_identical_submission_counts_against_own_quota(
+        self, make_admission
+    ):
+        quota = make_admission(max_tenant_queued=1)
+        url = quota.url + "/v1/jobs"
+        assert _http("POST", url, GRID, tenant="tenant-a")[0] == 202
+        code, _ = _http(
+            "POST", url, {**GRID, "orientations": ["x-z"]},
+            tenant="tenant-b",
+        )
+        assert code == 202
+        # tenant-b's quota is spent; tenant-a's identical job is no
+        # way around it.
+        code, doc = _http("POST", url, GRID, tenant="tenant-b")
+        assert code == 429 and doc["error"]["code"] == "tenant_quota"
+        assert doc["error"]["detail"]["tenant"] == "tenant-b"
 
 
 class TestCutoffCancelRace:
@@ -429,13 +505,12 @@ class TestCutoffCancelRace:
         the published state must be cancelled too."""
         service = ObfuscadeService(cache_dir=tmp_path / "cache")
         try:
-            warm, _ = service.submit(dict(GRID), tenant="a")
+            warm = service.submit(dict(GRID), tenant="a")
             service._admit(service.queue.take(timeout=0))
             service.fleet.run_until_idle()
             assert warm.state is JobState.DONE
 
-            late, joined = service.submit(dict(GRID), tenant="b")
-            assert not joined
+            late = service.submit(dict(GRID), tenant="b")
             service._admit(service.queue.take(timeout=0))
             assert not late.finished  # complete, callback still pending
             assert service.cancel(late.job_id) == "cancelled"
