@@ -165,89 +165,158 @@ class GCodeProgram:
         return len(self.text.encode())
 
 
+#: Line kinds of the program body, in the order :func:`generate_gcode`
+#: lays them out: a layer header (comment + ``G0 Z`` line), a tool
+#: switch to T0 or T1, a path's ``G0`` travel to its first point, and
+#: one ``G1`` extruding move.
+_LAYER, _T0, _T1, _TRAVEL, _EXTRUDE = range(5)
+#: Each kind's number words, formatted as its text line prints them
+#: (the layer header prints z twice).
+_WORD_FORMATS = np.array(
+    ["%.4f %.4f", "", "", "%.4f %.4f", "%.4f %.4f %.5f"], dtype=object
+)
+_N_WORDS = np.array([f.count("%") for f in _WORD_FORMATS])
+
+
+def _running_e(d: np.ndarray) -> np.ndarray:
+    """The ``E`` word after each move of displacement ``d`` (``(m, 2)``).
+
+    Bit-identical to the scalar ``e += float(np.linalg.norm(step)) *
+    _E_PER_MM``: NumPy's ``norm`` of a real 1-D vector is
+    ``sqrt(x.dot(x))``, the batched ``d[:, None, :] @ d[:, :, None]``
+    runs the same dot kernel per row, and ``np.add.accumulate`` sums in
+    order.  ``hypot``, ``einsum`` and ``sqrt(dx*dx + dy*dy)`` round
+    differently in the last bit for some steps.
+    """
+    step = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
+    return np.add.accumulate(step * _E_PER_MM)
+
+
 def generate_gcode(
     layers: Iterable[ToolpathLayer],
     travel_feedrate: float = 6000.0,
     print_feedrate: float = 2400.0,
 ) -> GCodeProgram:
-    """Emit G-code for a list of tool-path layers."""
-    lines = [
+    """Emit G-code for a list of tool-path layers.
+
+    Each path is a ``G0`` travel to its first point followed by one
+    ``G1`` per remaining point (a closed path adds a move back to its
+    first point); ``E`` is the running extruded length times
+    ``_E_PER_MM``.  The program is built column-first: one pass collects
+    every path's points, closure and tool, then all moves, step lengths
+    and ``E`` values come from index arithmetic over the stacked points,
+    every number word is formatted by one ``%``-template, and the
+    :class:`MoveTable` parses those same words back with ``float`` - so
+    ``table.to_moves() == parse_gcode(text)`` holds bit-for-bit.
+
+    The tests keep the per-move loop this replaced as the oracle.
+    """
+    travel = f"{travel_feedrate:.0f}"
+    feed = f"{print_feedrate:.0f}"
+    zs: List[float] = []
+    paths_per_layer: List[int] = []
+    path_points: List[np.ndarray] = []
+    closed_flags: List[bool] = []
+    support_flags: List[bool] = []
+    for layer in layers:
+        zs.append(layer.z)
+        paths_per_layer.append(len(layer.paths))
+        for path in layer.paths:
+            path_points.append(path.points)
+            closed_flags.append(path.closed)
+            support_flags.append(path.material is not ToolMaterial.MODEL)
+
+    n_paths = np.array(paths_per_layer, dtype=np.intp)
+    tool = np.array(support_flags, dtype=np.int8)
+    n_pts = np.fromiter(map(len, path_points), dtype=np.intp, count=len(path_points))
+    pts = np.concatenate(path_points) if path_points else np.empty((0, 2))
+
+    # G1 moves: path i visits points 1..k-1 and, when closed, 0 again;
+    # move t of the path goes from local point t to (t + 1) % k.
+    n_moves = n_pts - 1 + np.array(closed_flags, dtype=np.intp)
+    move_path = np.repeat(np.arange(len(n_pts)), n_moves)
+    pt_start = np.cumsum(n_pts) - n_pts
+    local = np.arange(len(move_path)) - (np.cumsum(n_moves) - n_moves)[move_path]
+    target = pt_start[move_path] + (local + 1) % n_pts[move_path]
+    e = _running_e(pts[target] - pts[pt_start[move_path] + local])
+
+    # Body layout: each layer header, then per path an optional tool
+    # switch, its G0 and its G1s.
+    tool_before = np.concatenate(([0], tool)).astype(np.int8)
+    switch = tool != tool_before[:-1]
+    path_items = switch + 1 + n_moves
+    path_layer = np.repeat(np.arange(len(n_paths)), n_paths)
+    items_before = np.concatenate(([0], np.cumsum(path_items)))
+    first_path = np.cumsum(n_paths) - n_paths
+    layer_pos = np.arange(len(n_paths)) + items_before[first_path]
+    path_pos = items_before[:-1] + path_layer + 1
+    kinds = np.full(len(n_paths) + int(path_items.sum()), _EXTRUDE, dtype=np.int8)
+    kinds[layer_pos] = _LAYER
+    kinds[path_pos[switch]] = _T0 + tool[switch]
+    travel_pos = path_pos + switch
+    kinds[travel_pos] = _TRAVEL
+    extrude_pos = np.flatnonzero(kinds == _EXTRUDE)
+    rows = np.flatnonzero((kinds != _T0) & (kinds != _T1))
+
+    # Every number word in body order, then one format pass over them.
+    n_words = _N_WORDS[kinds]
+    word_pos = np.cumsum(n_words) - n_words
+    words = np.empty(int(n_words.sum()))
+    layer_z = np.asarray(zs, dtype=np.float64)
+    words[word_pos[layer_pos]] = layer_z
+    words[word_pos[layer_pos] + 1] = layer_z
+    words[word_pos[travel_pos]] = pts[pt_start, 0]
+    words[word_pos[travel_pos] + 1] = pts[pt_start, 1]
+    words[word_pos[extrude_pos]] = pts[target, 0]
+    words[word_pos[extrude_pos] + 1] = pts[target, 1]
+    words[word_pos[extrude_pos] + 2] = e
+    word_format = " ".join(_WORD_FORMATS[kinds[rows]].tolist())
+    numbers = (word_format % tuple(words.tolist())).split()
+    templates = np.array(
+        [
+            f"; layer z=%s\nG0 Z%s F{travel}",
+            "T0",
+            "T1",
+            f"G0 X%s Y%s F{travel}",
+            f"G1 X%s Y%s E%s F{feed}",
+        ],
+        dtype=object,
+    )
+    program = [
         "; repro ObfusCADe G-code",
         "G21 ; millimetres",
         "G90 ; absolute positioning",
         "M82 ; absolute extrusion",
         "T0",
+        *templates[kinds].tolist(),
+        "M104 S0 ; cool down",
+        "M140 S0",
     ]
-    e = 0.0
-    current_tool = 0
-    nan = math.nan
-    # Columnar mirror of the emitted moves.  Every value entering the
-    # table is round-tripped through the *same format* the text uses,
-    # so the table is bit-identical to re-parsing the text.
-    cmd: List[int] = []
-    col_x: List[float] = []
-    col_y: List[float] = []
-    col_z: List[float] = []
-    col_e: List[float] = []
-    col_f: List[float] = []
-    col_t: List[int] = []
-    travel_f = float(f"{travel_feedrate:.0f}")
-    print_f = float(f"{print_feedrate:.0f}")
+    lines = ("\n".join(program) % tuple(numbers)).split("\n")
 
-    def emit(command: int, x=nan, y=nan, z=nan, e_word=nan, feed=nan) -> None:
-        cmd.append(command)
-        col_x.append(x)
-        col_y.append(y)
-        col_z.append(z)
-        col_e.append(e_word)
-        col_f.append(feed)
-        col_t.append(current_tool)
-
-    for layer in layers:
-        lines.append(f"; layer z={layer.z:.4f}")
-        lines.append(f"G0 Z{layer.z:.4f} F{travel_feedrate:.0f}")
-        emit(0, z=float(f"{layer.z:.4f}"), feed=travel_f)
-        for path in layer.paths:
-            tool = 0 if path.material is ToolMaterial.MODEL else 1
-            if tool != current_tool:
-                lines.append(f"T{tool}")
-                current_tool = tool
-            pts = path.points
-            lines.append(f"G0 X{pts[0, 0]:.4f} Y{pts[0, 1]:.4f} F{travel_feedrate:.0f}")
-            emit(
-                0,
-                x=float(f"{pts[0, 0]:.4f}"),
-                y=float(f"{pts[0, 1]:.4f}"),
-                feed=travel_f,
-            )
-            sequence = list(range(1, len(pts)))
-            if path.closed:
-                sequence.append(0)
-            prev = pts[0]
-            for idx in sequence:
-                p = pts[idx]
-                e += float(np.linalg.norm(p - prev)) * _E_PER_MM
-                lines.append(
-                    f"G1 X{p[0]:.4f} Y{p[1]:.4f} E{e:.5f} F{print_feedrate:.0f}"
-                )
-                emit(
-                    1,
-                    x=float(f"{p[0]:.4f}"),
-                    y=float(f"{p[1]:.4f}"),
-                    e_word=float(f"{e:.5f}"),
-                    feed=print_f,
-                )
-                prev = p
-    lines.append("M104 S0 ; cool down")
-    lines.append("M140 S0")
+    # The table: one row per G0/G1 line, values parsed from the words.
+    parsed = np.fromiter(map(float, numbers), dtype=np.float64, count=len(words))
+    item_tool = np.zeros(len(kinds), dtype=np.int8)
+    item_tool[kinds != _LAYER] = np.repeat(tool, path_items)
+    item_tool[layer_pos] = tool_before[first_path]
+    kind, at = kinds[rows], word_pos[rows]
+    xy, extruding = kind != _LAYER, kind == _EXTRUDE
+    x = np.full(len(rows), math.nan)
+    y = np.full(len(rows), math.nan)
+    z = np.full(len(rows), math.nan)
+    e_word = np.full(len(rows), math.nan)
+    x[xy] = parsed[at[xy]]
+    y[xy] = parsed[at[xy] + 1]
+    z[~xy] = parsed[at[~xy]]
+    e_word[extruding] = parsed[at[extruding] + 2]
     table = MoveTable(
-        command=np.array(cmd, dtype=np.uint8),
-        x=np.array(col_x, dtype=np.float64),
-        y=np.array(col_y, dtype=np.float64),
-        z=np.array(col_z, dtype=np.float64),
-        e=np.array(col_e, dtype=np.float64),
-        feedrate=np.array(col_f, dtype=np.float64),
-        tool=np.array(col_t, dtype=np.int8),
+        command=extruding.astype(np.uint8),
+        x=x,
+        y=y,
+        z=z,
+        e=e_word,
+        feedrate=np.where(extruding, float(feed), float(travel)),
+        tool=item_tool[rows],
     )
     return GCodeProgram(lines=lines, moves=table)
 

@@ -9,6 +9,7 @@ looks for (Table 1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -109,19 +110,18 @@ def slice_mesh(
     return SliceResult(layers=layers, settings=settings)
 
 
-def _plane_segments(
-    tris: np.ndarray, z: float
-) -> List[Tuple[np.ndarray, np.ndarray]]:
+def _plane_segments(tris: np.ndarray, z: float) -> np.ndarray:
     """All triangle intersection segments with the plane at height ``z``.
 
     Vectorized equivalent of calling
     :meth:`~repro.geometry.plane.Plane.intersect_triangle` on each
     triangle of ``tris`` (shape ``(n, 3, 3)``) in order: the same
     formulas run on the same float64 values, so the emitted 2D segments
-    are bit-identical to the scalar loop's.
+    are bit-identical to the scalar loop's.  Returns an ``(n, 2, 2)``
+    array: segment ``k`` runs from ``[k, 0]`` to ``[k, 1]``.
     """
     if len(tris) == 0:
-        return []
+        return np.empty((0, 2, 2))
     d = tris[:, :, 2] - z  # signed distance to a horizontal plane
     on = np.abs(d) < EPS
     pts = np.empty_like(tris)
@@ -154,36 +154,52 @@ def _plane_segments(
     kept = keep[rows]
     first = kept.argmax(axis=1)
     last = 2 - kept[:, ::-1].argmax(axis=1)
-    a2 = pts[rows, first, :2]
-    b2 = pts[rows, last, :2]
-    return [(a2[k], b2[k]) for k in range(len(rows))]
+    return np.stack([pts[rows, first, :2], pts[rows, last, :2]], axis=1)
 
 
-def chain_segments(
-    segments: List[Tuple[np.ndarray, np.ndarray]]
-) -> Tuple[List[Polygon2], List[np.ndarray]]:
-    """Chain 2D segments into closed contours and open polylines."""
-    if not segments:
+def chain_segments(segments) -> Tuple[List[Polygon2], List[np.ndarray]]:
+    """Chain 2D segments into closed contours and open polylines.
+
+    ``segments`` is an ``(n, 2, 2)`` array or a sequence of ``(a, b)``
+    point pairs.  Each unused segment starts a chain that grows from its tail, then
+    (if still open) from its head, by any unused segment whose endpoint
+    snaps to the same grid key as the tip; zero-length slivers are
+    dropped.  A chain of more than three points whose tail lies within
+    ``_CHAIN_TOL`` of its head is closed.  Chains are built as endpoint
+    indices and their float64 points gathered once at the end.
+
+    The closure test runs on every extension, so it first compares the
+    tips' snapped keys: keys more than two grid steps apart on an axis
+    are more than ``_CHAIN_TOL`` apart, and only a near pair pays for
+    the distance, ``sqrt(d . d)`` - exactly what ``np.linalg.norm``
+    computes for a 1-D vector.
+    """
+    if len(segments) == 0:
         return [], []
 
     # Snap endpoints onto a grid so shared vertices hash identically
     # (round half to even), and detect zero-length slivers, in one batch.
-    # A chain tip is always some segment's endpoint, so its key is read
-    # from here rather than re-rounded.
+    # Endpoint ``end`` of segment ``si`` is flat index ``2 * si + end``,
+    # so the far end of endpoint ``q`` is ``q ^ 1``.
     seg_arr = np.asarray(segments, dtype=float)  # (n, 2, 2)
+    points = seg_arr.reshape(-1, 2)
     lengths = np.linalg.norm(seg_arr[:, 1] - seg_arr[:, 0], axis=1)
-    seg_keys = [
-        (tuple(a_key), tuple(b_key))
-        for a_key, b_key in np.round(seg_arr / _CHAIN_TOL).astype(np.int64).tolist()
-    ]
+    live = (~(lengths < _CHAIN_TOL)).tolist()  # a NaN length is no sliver
+    keys = list(map(tuple, np.round(points / _CHAIN_TOL).astype(np.int64).tolist()))
 
-    endpoint_map: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+    endpoint_map: Dict[Tuple[int, int], List[int]] = {}
     for si in range(len(segments)):
-        if lengths[si] < _CHAIN_TOL:
-            continue  # zero-length sliver
-        a_key, b_key = seg_keys[si]
-        endpoint_map.setdefault(a_key, []).append((si, 0))
-        endpoint_map.setdefault(b_key, []).append((si, 1))
+        if live[si]:
+            endpoint_map.setdefault(keys[2 * si], []).append(2 * si)
+            endpoint_map.setdefault(keys[2 * si + 1], []).append(2 * si + 1)
+
+    def closes(head: int, tail: int) -> bool:
+        hx, hy = keys[head]
+        tx, ty = keys[tail]
+        if abs(tx - hx) > 2 or abs(ty - hy) > 2:
+            return False
+        d = points[tail] - points[head]
+        return math.sqrt(d.dot(d)) < _CHAIN_TOL
 
     used = [False] * len(segments)
     contours: List[Polygon2] = []
@@ -192,30 +208,23 @@ def chain_segments(
     for start in range(len(segments)):
         if used[start]:
             continue
-        a, b = segments[start]
-        if lengths[start] < _CHAIN_TOL:
-            used[start] = True
-            continue
         used[start] = True
-        chain = [a.copy(), b.copy()]
-        # Extend forward from the tail, then (if open) backward from head.
-        for direction in (1, 0):
-            tip_key = seg_keys[start][direction]
-            while True:
-                nxt = _take_continuation(endpoint_map, segments, seg_keys, used, tip_key)
-                if nxt is None:
-                    break
-                point, tip_key = nxt
-                if direction == 1:
-                    chain.append(point)
+        if not live[start]:
+            continue
+        # ``back`` holds the head side in reverse, ``ahead`` the tail side.
+        back, ahead = [2 * start], [2 * start + 1]
+        closed = False
+        for tips in (ahead, back):
+            while not closed:
+                for q in endpoint_map.get(keys[tips[-1]], ()):
+                    if not used[q >> 1]:
+                        used[q >> 1] = True
+                        tips.append(q ^ 1)
+                        break
                 else:
-                    chain.insert(0, point)
-                if np.linalg.norm(chain[-1] - chain[0]) < _CHAIN_TOL and len(chain) > 3:
                     break
-            if np.linalg.norm(chain[-1] - chain[0]) < _CHAIN_TOL and len(chain) > 3:
-                break
-        closed = np.linalg.norm(chain[-1] - chain[0]) < _CHAIN_TOL and len(chain) > 3
-        pts = np.array(chain)
+                closed = len(back) + len(ahead) > 3 and closes(back[-1], ahead[-1])
+        pts = points[back[::-1] + ahead]
         if closed:
             ring = pts[:-1]
             if len(ring) >= 3:
@@ -225,22 +234,6 @@ def chain_segments(
                     continue
         open_paths.append(pts)
     return contours, open_paths
-
-
-def _take_continuation(
-    endpoint_map, segments, seg_keys, used, tip_key: Tuple[int, int]
-) -> Optional[Tuple[np.ndarray, Tuple[int, int]]]:
-    """Pop an unused segment incident at ``tip_key``.
-
-    Returns the segment's far endpoint and that endpoint's snapped key
-    (the next chain tip), or ``None`` when no unused segment meets it.
-    """
-    for si, end in endpoint_map.get(tip_key, []):
-        if used[si]:
-            continue
-        used[si] = True
-        return segments[si][1 - end].copy(), seg_keys[si][1 - end]
-    return None
 
 
 def _try_polygon(ring: np.ndarray) -> Optional[Polygon2]:

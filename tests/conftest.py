@@ -118,3 +118,24 @@ def sphere_noremoval_solid_print(print_job):
     return print_job.print_model(sphere_model(SphereStyle.SOLID, False), FINE)
 
 
+
+
+@pytest.fixture(scope="session")
+def randomized_bar_201() -> CadModel:
+    """The seed-201 randomized-spline bar (real slicer-input corpus)."""
+    from repro.obfuscade.obfuscator import Obfuscator
+
+    return Obfuscator(seed=201).protect_tensile_bar(randomize=True).model
+
+
+def placed_mesh(model: CadModel, resolution, orientation) -> TriangleMesh:
+    """``model`` as the process chain slices it: tessellated at
+    ``resolution``, coincident faces resolved, oriented onto the plate
+    and shifted by the plate margin."""
+    from repro.pipeline.chain import PLATE_MARGIN_MM
+    from repro.printer.orientation import place_on_plate
+    from repro.slicer.coincident import resolve_coincident_faces
+
+    mesh = resolve_coincident_faces(model.export_stl(resolution).mesh)
+    oriented = place_on_plate([mesh], orientation)[0]
+    return oriented.translated(np.array([PLATE_MARGIN_MM, PLATE_MARGIN_MM, 0.0]))

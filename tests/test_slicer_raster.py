@@ -319,8 +319,8 @@ class TestPlaneSegments:
         self._assert_identical(tetra.triangles, 1.0)
 
     def test_plane_misses_mesh(self, tetra):
-        assert _plane_segments(tetra.triangles, 5.0) == []
-        assert _plane_segments(np.empty((0, 3, 3)), 0.0) == []
+        assert _plane_segments(tetra.triangles, 5.0).shape == (0, 2, 2)
+        assert _plane_segments(np.empty((0, 3, 3)), 0.0).shape == (0, 2, 2)
 
     def test_tensile_bar_export(self, split_bar):
         from repro.cad import COARSE
