@@ -6,6 +6,7 @@ deposition simulator rasterizes them onto voxel layers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Sequence
 
@@ -30,8 +31,11 @@ class Polygon2:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 3:
             raise ValueError("a polygon needs an (n>=3, 2) vertex array")
-        # Drop an explicitly repeated closing vertex.
-        if np.linalg.norm(pts[0] - pts[-1]) < EPS:
+        # Drop an explicitly repeated closing vertex.  sqrt(d.dot(d)) is
+        # what np.linalg.norm computes for a 1-D vector, without its
+        # per-call overhead.
+        d = pts[0] - pts[-1]
+        if math.sqrt(d.dot(d)) < EPS:
             pts = pts[:-1]
         if pts.shape[0] < 3:
             raise ValueError("degenerate polygon after closing-vertex removal")
@@ -45,7 +49,12 @@ class Polygon2:
         """Shoelace area; positive for counter-clockwise rings."""
         x = self.points[:, 0]
         y = self.points[:, 1]
-        return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+        # concatenate((a[1:], a[:1])) is np.roll(a, -1) without its
+        # generic-axis overhead.
+        return 0.5 * float(
+            np.dot(x, np.concatenate((y[1:], y[:1])))
+            - np.dot(y, np.concatenate((x[1:], x[:1])))
+        )
 
     @property
     def area(self) -> float:

@@ -19,7 +19,10 @@ from scipy import ndimage
 from repro.mesh.trimesh import TriangleMesh
 from repro.printer.artifact import (
     PrintedArtifact,
+    line_extent,
     pack_rows,
+    shift_in_higher,
+    shift_in_lower,
     tail_mask,
     unpack_rows,
 )
@@ -81,13 +84,13 @@ class DepositionSimulator:
         nx = int(np.ceil((hi[0] - lo[0]) / cell))
         ny = int(np.ceil((hi[1] - lo[1]) / cell))
         # One batched edge-crossing pass rasterizes the whole stack
-        # (see repro.slicer.raster); bit-identical to looping
-        # rasterize_contours over the layers.
+        # into packed rows (see repro.slicer.raster); bit-identical to
+        # packing rasterize_contours of every layer.
         raw = rasterize_stack(
             [layer.contours for layer in slices.layers], lo, nx, ny, cell
         )
-        shape = raw.shape
-        model, weak, voids = self._apply_bead_merge(raw, cell)
+        shape = (raw.shape[0], ny, nx)
+        model, weak, voids = self._apply_bead_merge(raw, nx, cell)
         del raw
         support = (
             support_columns(model)
@@ -106,7 +109,7 @@ class DepositionSimulator:
             metadata=dict(metadata or {}),
         )
 
-    def _apply_bead_merge(self, raw: np.ndarray, cell: float):
+    def _apply_bead_merge(self, raw_bits: np.ndarray, nx: int, cell: float):
         """Bridge sub-tolerance gaps; record weak bridges and open voids.
 
         Per layer: morphological closing with a radius of half the merge
@@ -114,20 +117,19 @@ class DepositionSimulator:
         beads fuse); the bridged cells are *weak*.  Whatever internal
         gap remains open after closing is a *void* (an unfused seam).
 
-        ``raw`` is packed by row first and every grid stays packed from
-        there on (see :func:`~repro.printer.artifact.pack_rows`).
-        Identical layers (an extruded part rasterizes to one repeated
-        cross-section) are morphed once and broadcast back.  The
-        closing runs as bit shifts on packed rows
-        (:func:`_packed_closing`) and the hole fill on bounded unpacked
-        slabs (:func:`_packed_holes`), exact replacements for per-layer
-        ``ndimage.binary_closing`` / ``binary_fill_holes`` with the
-        4-connected structure - asserted in the deposition tests.
-        Returns the packed ``(model, weak, voids)``.
+        ``raw_bits`` is the row-packed raster stack (``nx`` valid bits
+        per row, see :func:`~repro.printer.artifact.pack_rows`) and
+        every grid stays packed.  Identical layers (an extruded part
+        rasterizes to one repeated cross-section) are morphed once and
+        broadcast back.  The closing runs as bit shifts on packed rows
+        (:func:`_packed_closing`) and the hole fill labels only the
+        background a straight line cannot clear (:func:`_packed_holes`),
+        exact replacements for per-layer ``ndimage.binary_closing`` /
+        ``binary_fill_holes`` with the 4-connected structure - asserted
+        in the deposition tests.  Returns the packed
+        ``(model, weak, voids)``.
         """
         iterations = max(int(round(self.settings.merge_gap_mm / (2.0 * cell))), 1)
-        nx = raw.shape[2]
-        raw_bits = pack_rows(raw)
         if not raw_bits.any():
             return raw_bits, np.zeros_like(raw_bits), np.zeros_like(raw_bits)
         first, inverse = _unique_layers(raw_bits)
@@ -245,28 +247,6 @@ def _fill_holes_stack(stack: np.ndarray) -> np.ndarray:
     return stack | ~outside[background]
 
 
-def _shift_in_lower(bits: np.ndarray) -> np.ndarray:
-    """Packed rows where each x holds the bit at ``x - 1`` (0 at x = 0).
-
-    Bits run MSB-first, so moving to higher x is a right shift that
-    carries each byte's low bit into the next byte's high bit.
-    """
-    out = bits >> 1
-    out[..., 1:] |= bits[..., :-1] << 7
-    return out
-
-
-def _shift_in_higher(bits: np.ndarray) -> np.ndarray:
-    """Packed rows where each x holds the bit at ``x + 1``.
-
-    The last valid x reads the zero padding (or nothing), i.e. the
-    border is background.
-    """
-    out = bits << 1
-    out[..., :-1] |= bits[..., 1:] >> 7
-    return out
-
-
 def _packed_closing(bits: np.ndarray, nx: int, iterations: int) -> np.ndarray:
     """:func:`_cross_closing` on row-packed layers (``nx`` valid bits).
 
@@ -279,13 +259,13 @@ def _packed_closing(bits: np.ndarray, nx: int, iterations: int) -> np.ndarray:
     out = bits
     for _ in range(iterations):
         a = out
-        out = a | _shift_in_lower(a) | _shift_in_higher(a)
+        out = a | shift_in_lower(a) | shift_in_higher(a)
         out[:, 1:, :] |= a[:, :-1, :]
         out[:, :-1, :] |= a[:, 1:, :]
         out[..., -1] &= tail
     for _ in range(iterations):
         a = out
-        out = a & _shift_in_lower(a) & _shift_in_higher(a)
+        out = a & shift_in_lower(a) & shift_in_higher(a)
         out[:, 1:, :] &= a[:, :-1, :]
         out[:, :-1, :] &= a[:, 1:, :]
         out[:, 0, :] = 0
@@ -293,23 +273,40 @@ def _packed_closing(bits: np.ndarray, nx: int, iterations: int) -> np.ndarray:
     return out
 
 
-#: Unpacked voxels per slab of the hole fill (its int32 labels are 4x).
-_FILL_SLAB_VOXELS = 1 << 22
-
-
 def _packed_holes(bits: np.ndarray, nx: int) -> np.ndarray:
     """Enclosed background of every packed layer, packed.
 
-    ``_fill_holes_stack(layer) & ~layer`` per layer.  The fill structure
-    never connects layers, so it runs on unpacked slabs of whole layers
-    bounded by ``_FILL_SLAB_VOXELS``, never on the whole stack.
+    ``_fill_holes_stack(layer) & ~layer`` per layer, labelling as little
+    as it can.  A background pixel outside its row's first..last solid
+    pixel, or outside its column's, reaches the frame in a straight
+    line, so it is exterior; only the remaining *candidates* can be
+    holes (:func:`~repro.printer.artifact.line_extent` finds them on
+    the packed bytes).  A layer without candidates has no hole.  Other
+    layers label only the candidates' bounding box grown by one pixel
+    (at byte granularity along x): a component there is a hole iff it
+    holds no non-candidate background pixel.  That is exact, because a
+    candidate is never on the frame (it has solid on both sides of it)
+    and the grown box holds all its neighbours, so an all-candidate
+    component in the box is a whole component of the layer, while a
+    component with a non-candidate pixel reaches the frame.
     """
-    nz, ny, _ = bits.shape
-    step = max(1, _FILL_SLAB_VOXELS // max(1, ny * nx))
-    out = np.empty_like(bits)
-    for z in range(0, nz, step):
-        layers = unpack_rows(bits[z:z + step], nx)
-        out[z:z + step] = pack_rows(_fill_holes_stack(layers) & ~layers)
+    out = np.zeros_like(bits)
+    candidates = ~bits & line_extent(bits, 2) & line_extent(bits, 1)
+    nb = bits.shape[2]
+    for z in np.flatnonzero(candidates.any(axis=(1, 2))):
+        ys = np.flatnonzero(candidates[z].any(axis=1))
+        xs = np.flatnonzero(candidates[z].any(axis=0))
+        box = (z, slice(ys[0] - 1, ys[-1] + 2),
+               slice(max(xs[0] - 1, 0), min(xs[-1] + 2, nb)))
+        width = min(8 * (box[2].stop - box[2].start), nx - 8 * box[2].start)
+        background = ~unpack_rows(bits[box], width)
+        labels, n_labels = ndimage.label(
+            background, structure=_IN_LAYER_STRUCTURE[1]
+        )
+        reaches_frame = np.zeros(n_labels + 1, dtype=bool)
+        reaches_frame[labels[background & ~unpack_rows(candidates[box], width)]] = True
+        reaches_frame[0] = True  # label 0 is the solid itself
+        out[box] = pack_rows(~reaches_frame[labels])
     return out
 
 

@@ -60,6 +60,61 @@ def random_artifact(seed, shape, **kwargs):
     )
 
 
+def _ring(grid, y0, x0, y1, x1):
+    """Draw the one-pixel outline of box ``[y0, y1] x [x0, x1]``."""
+    grid[y0, x0:x1 + 1] = grid[y1, x0:x1 + 1] = True
+    grid[y0:y1 + 1, x0] = grid[y0:y1 + 1, x1] = True
+
+
+def _u_cup():
+    """A U whose rim turns inwards: its inside is exterior, but no row
+    or column through most of it reaches the frame."""
+    grid = np.zeros((12, 21), dtype=bool)
+    grid[2:10, 3] = grid[2:10, 17] = True      # walls
+    grid[9, 3:18] = True                       # floor
+    grid[2, 3:9] = grid[2, 12:18] = True       # inturned rim, gap 9..11
+    return grid
+
+
+def _spiral():
+    """A square spiral wall: its corridor winds from the centre out to
+    the frame, so the centre is exterior yet seen by no straight line."""
+    n = 23
+    grid = np.zeros((n, n), dtype=bool)
+    lo, hi = 1, n - 2
+    while hi - lo >= 4:
+        grid[lo, lo:hi + 1] = True             # top
+        grid[lo:hi + 1, hi] = True             # right
+        grid[hi, lo:hi + 1] = True             # bottom
+        grid[lo + 2:hi + 1, lo] = True         # left, open at the top
+        grid[lo + 2, lo:lo + 3] = True         # step into the next turn
+        lo, hi = lo + 2, hi - 2
+    grid[1, 1:3] = False                       # entrance from the frame
+    return grid
+
+
+def _nested():
+    """A hole holding an island that holds a hole of its own."""
+    grid = np.zeros((17, 19), dtype=bool)
+    grid[1:16, 1:18] = True
+    grid[3:14, 3:16] = False                   # outer hole
+    grid[5:12, 5:14] = True                    # island in it
+    grid[7:10, 7:12] = False                   # inner hole
+    return grid
+
+
+def _two_clusters():
+    """Two small rings at opposite corners of one wide layer."""
+    grid = np.zeros((30, 69), dtype=bool)
+    _ring(grid, 1, 1, 4, 5)
+    _ring(grid, 24, 60, 28, 67)
+    return grid
+
+
+HOLE_SHAPES = {"u_cup": _u_cup, "spiral": _spiral, "nested": _nested,
+               "two_clusters": _two_clusters}
+
+
 stacks = st.tuples(
     st.integers(min_value=0, max_value=2**32 - 1),
     st.integers(min_value=1, max_value=3),
@@ -103,6 +158,21 @@ class TestPackedKernels:
 
     @given(stacks)
     @settings(max_examples=100, deadline=None)
+    def test_line_extent_matches_bool_formula(self, spec):
+        """Set voxel at or before *and* at or after, along each axis."""
+        seed, nz, ny, nx, density, last = spec
+        stack = random_stack(seed, nz, ny, nx, density / 3, last)
+        for axis in range(3):
+            before = np.logical_or.accumulate(stack, axis=axis)
+            after = np.flip(np.logical_or.accumulate(
+                np.flip(stack, axis=axis), axis=axis), axis=axis)
+            np.testing.assert_array_equal(
+                artifact_mod.line_extent(pack_rows(stack), axis),
+                pack_rows(before & after),
+            )
+
+    @given(stacks)
+    @settings(max_examples=100, deadline=None)
     def test_support_matches_oracle(self, spec):
         seed, nz, ny, nx, density, last = spec
         stack = random_stack(seed, nz + 2, ny, nx, density / 4, last)
@@ -111,12 +181,42 @@ class TestPackedKernels:
             ours, pack_rows(bool_support_columns(stack))
         )
 
-    def test_holes_across_slab_boundaries(self, monkeypatch):
-        stack = random_stack(7, 9, 12, 37, density=0.6)
+
+    @pytest.mark.parametrize("shape", sorted(HOLE_SHAPES))
+    def test_holes_where_straight_lines_fail(self, shape):
+        """Exterior background no straight line clears, and real holes.
+
+        Each shape holds candidate pixels (inside their row's and
+        column's solid extent); the packed fill must label them.
+        """
+        layer = HOLE_SHAPES[shape]()
+        stack = np.stack([layer, np.zeros_like(layer), layer[::-1, ::-1]])
+        nx = stack.shape[2]
+        bits = pack_rows(stack)
+        candidates = (~bits & artifact_mod.line_extent(bits, 2)
+                      & artifact_mod.line_extent(bits, 1))
+        assert candidates[0].any() and candidates[2].any()
+        ours = deposition._packed_holes(bits, nx)
+        oracle = deposition._fill_holes_stack(stack) & ~stack
+        np.testing.assert_array_equal(ours, pack_rows(oracle))
+        expected_holes = {"u_cup": 0, "spiral": 0, "nested": 2,
+                          "two_clusters": 2}[shape]
+        _, n_holes = ndimage.label(oracle[0], structure=CROSS)
+        assert n_holes == expected_holes
+
+    def test_holes_in_distinct_layer_crops(self):
+        """Layers whose candidates sit in different boxes, one stack."""
+        stack = np.zeros((4, 40, 45), dtype=bool)
+        stack[0, 2:7, 2:7] = True
+        stack[0, 4, 4] = False               # hole in the low corner
+        stack[1, 30:38, 36:44] = True
+        stack[1, 32:36, 38:42] = False       # hole at the far corner
+        stack[2] = random_stack(7, 1, 40, 45, density=0.6)[0]
+        stack[3, 10:30, 8:9] = True          # a wall: no candidate at all
         expected = pack_rows(deposition._fill_holes_stack(stack) & ~stack)
-        monkeypatch.setattr(deposition, "_FILL_SLAB_VOXELS", 2 * 12 * 37)
-        got = deposition._packed_holes(pack_rows(stack), 37)
+        got = deposition._packed_holes(pack_rows(stack), 45)
         np.testing.assert_array_equal(got, expected)
+        assert got[0].any() and got[1].any() and not got[3].any()
 
     @pytest.mark.parametrize("nx", [1, 8, 13, 64, 70])
     def test_bead_merge_matches_bool_pipeline(self, nx):
@@ -124,7 +224,7 @@ class TestPackedKernels:
         pool = rng.random((3, 9, nx)) < 0.55
         raw = pool[rng.integers(0, 3, size=8)]  # repeated layers
         sim = deposition.DepositionSimulator(DIMENSION_ELITE, raster_cell_mm=0.1)
-        model, weak, voids = sim._apply_bead_merge(raw, 0.1)
+        model, weak, voids = sim._apply_bead_merge(pack_rows(raw), nx, 0.1)
         iterations = max(
             int(round(sim.settings.merge_gap_mm / (2.0 * 0.1))), 1
         )
@@ -442,3 +542,54 @@ class TestSurfaceDisruption:
         art = split_coarse_xy.artifact
         assert art.voxel_count("voids")
         assert art.surface_disruption_area_mm2 == old_surface_disruption(art)
+
+    @staticmethod
+    def _block_artifact(void_at, tunnel=()):
+        """A solid block with one void voxel and an optional tunnel."""
+        model = np.zeros((7, 9, 11), dtype=bool)
+        model[1:6, 1:8, 1:10] = True
+        voids = np.zeros_like(model)
+        for voxel in (void_at, *tunnel):
+            model[voxel] = False
+        voids[void_at] = True
+        zeros = np.zeros_like(model)
+        return PrintedArtifact(machine=DIMENSION_ELITE, cell_mm=0.1,
+                               layer_height_mm=0.1, origin=np.zeros(2),
+                               model=model, support=zeros, weak=zeros,
+                               voids=voids)
+
+    @pytest.fixture
+    def labelled(self, monkeypatch):
+        """Counts the calls of the background labelling fallback."""
+        calls = []
+        original = artifact_mod._exterior_labels
+
+        def spy(solid):
+            calls.append(solid.shape)
+            return original(solid)
+
+        monkeypatch.setattr(artifact_mod, "_exterior_labels", spy)
+        return calls
+
+    def test_winding_path_takes_the_fallback(self, labelled):
+        """The void reaches the exterior only by a tunnel that turns
+        from x to y to z, so no straight line clears it or a neighbour."""
+        tunnel = [(3, 4, 6), (3, 4, 7), (3, 3, 7), (3, 2, 7),
+                  (4, 2, 7), (5, 2, 7)]
+        art = self._block_artifact((3, 4, 5), tunnel)
+        area = art.surface_disruption_area_mm2
+        assert labelled
+        assert area == old_surface_disruption(art) == 0.1 * 0.1
+
+    def test_enclosed_void_takes_the_fallback(self, labelled):
+        art = self._block_artifact((3, 4, 5))
+        area = art.surface_disruption_area_mm2
+        assert labelled
+        assert area == old_surface_disruption(art) == 0.0
+
+    def test_visible_void_skips_the_labelling(self, labelled):
+        """A void one voxel under the top face: z clears its neighbour."""
+        art = self._block_artifact((5, 4, 5))
+        area = art.surface_disruption_area_mm2
+        assert not labelled
+        assert area == old_surface_disruption(art) == 0.1 * 0.1

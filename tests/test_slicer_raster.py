@@ -7,6 +7,9 @@ same cell snapping.  Every test here holds the vectorized path equal -
 
 * :func:`rasterize_contours` vs. :func:`rasterize_contours_reference`;
 * :func:`scanline_spans_batch` vs. per-``y`` :func:`region_spans`;
+* the packed span fill :func:`fill_spans_packed` and
+  :func:`rasterize_stack` vs. the boolean difference-array fill it
+  replaced (:func:`fill_spans_reference`, kept here as the oracle);
 * :func:`rasterize_stack` vs. per-layer :func:`rasterize_frame`;
 * the shift-kernel bead-merge morphology vs. scipy's
   ``binary_closing`` / ``binary_fill_holes``;
@@ -22,6 +25,7 @@ from scipy import ndimage
 
 from repro.geometry.plane import Plane
 from repro.geometry.polygon import Polygon2
+from repro.printer.artifact import pack_rows
 from repro.printer.deposition import (
     _cross_closing,
     _fill_holes_stack,
@@ -32,7 +36,15 @@ from repro.slicer.preview import (
     rasterize_contours,
     rasterize_contours_reference,
 )
-from repro.slicer.raster import rasterize_frame, rasterize_stack, scanline_spans_batch
+from repro.slicer.raster import (
+    _pair_crossings,
+    contour_edges,
+    edge_crossings,
+    fill_spans_packed,
+    rasterize_frame,
+    rasterize_stack,
+    scanline_spans_batch,
+)
 from repro.slicer.slicer import _plane_segments
 from repro.slicer.toolpath import region_spans
 
@@ -60,6 +72,145 @@ def assert_frames_identical(contours, lo, nx, ny, cell):
     assert fast.shape == slow.shape == (ny, nx)
     assert np.array_equal(fast, slow)
     return fast
+
+
+def fill_spans_reference(span_rows, x_in, x_out, x0, nx, cell, n_rows):
+    """The boolean difference-array span fill the packed one replaced.
+
+    A span fills cells ``floor((x_in - x0)/cell)`` up to (exclusive)
+    ``ceil((x_out - x0)/cell)``, clipped to the frame; overlapping spans
+    union through a per-row int32 difference array.
+    """
+    grid = np.zeros((n_rows, nx), dtype=bool)
+    if span_rows.size == 0:
+        return grid
+    i0 = np.floor((x_in - x0) / cell)
+    i1 = np.ceil((x_out - x0) / cell)
+    inside = (i1 > 0) & (i0 < nx)
+    if not np.any(inside):
+        return grid
+    rows = span_rows[inside]
+    lo = np.clip(i0[inside], 0, nx).astype(np.intp)
+    hi = np.clip(i1[inside], 0, nx).astype(np.intp)
+    delta = np.zeros((n_rows, nx + 1), dtype=np.int32)
+    np.add.at(delta, (rows, lo), 1)
+    np.add.at(delta, (rows, hi), -1)
+    np.cumsum(delta[:, :-1], axis=1, out=delta[:, :-1])
+    np.greater(delta[:, :-1], 0, out=grid)
+    return grid
+
+
+def frame_reference(contours, lo, nx, ny, cell):
+    """One layer through the batched crossings and the boolean fill."""
+    ys = lo[1] + (np.arange(ny, dtype=float) + 0.5) * cell
+    p, q = contour_edges(contours)
+    rows, _, xs = edge_crossings(p, q, ys)
+    span_rows, x_in, x_out = _pair_crossings(rows, xs, ny)
+    return fill_spans_reference(
+        span_rows, x_in, x_out, float(lo[0]), nx, cell, ny
+    )
+
+
+def stack_reference(layer_contours, lo, nx, ny, cell):
+    """``pack_rows`` of the boolean per-layer oracle, stacked."""
+    layers = [frame_reference(c, lo, nx, ny, cell) for c in layer_contours]
+    return pack_rows(np.array(layers, dtype=bool).reshape(-1, ny, nx))
+
+
+def span_end(nx):
+    """A span endpoint (in cells): on a byte boundary, a cell edge, a
+    fraction of a cell, or out of frame on either side."""
+    return st.one_of(
+        st.integers(-2, (nx + 15) // 8).map(lambda b: 8.0 * b),
+        st.integers(-3, nx + 3).map(float),
+        st.floats(-4.0, nx + 4.0, allow_nan=False),
+    )
+
+
+@st.composite
+def span_sets(draw):
+    """Spans that overlap, touch, sit inside one byte or leave the frame."""
+    nx = draw(st.integers(1, 70))
+    n_rows = draw(st.integers(1, 4))
+    spans = []
+    for _ in range(draw(st.integers(0, 12))):
+        row = draw(st.integers(0, n_rows - 1))
+        a = draw(span_end(nx))
+        kind = draw(st.sampled_from(("free", "touch", "in_byte")))
+        if kind == "touch" and spans:
+            a = spans[-1][2]  # starts where the previous span ended
+        if kind == "in_byte":
+            offset = draw(st.floats(0.0, 6.5))
+            a = 8.0 * draw(st.integers(-1, (nx + 7) // 8)) + offset
+            width = draw(st.floats(1e-6, 7.0 - offset))
+        else:
+            width = draw(st.floats(1e-6, nx + 8.0))
+        spans.append((row, a, a + width))
+    rows = np.array([r for r, _, _ in spans], dtype=np.intp)
+    x_in = np.array([a for _, a, _ in spans], dtype=float)
+    x_out = np.array([b for _, _, b in spans], dtype=float)
+    return nx, n_rows, rows, x_in, x_out
+
+
+class TestPackedSpanFill:
+    """fill_spans_packed / rasterize_stack == pack_rows of the bool fill."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(span_sets(), st.sampled_from((1.0, 0.5, 0.3)),
+           st.sampled_from((0.0, -1.25, 3.0)))
+    def test_matches_bool_fill(self, spans, cell, x0):
+        nx, n_rows, rows, x_in, x_out = spans
+        x_in, x_out = x0 + x_in * cell, x0 + x_out * cell
+        got = fill_spans_packed(rows, x_in, x_out, x0, nx, cell, n_rows)
+        want = fill_spans_reference(rows, x_in, x_out, x0, nx, cell, n_rows)
+        assert got.shape == (n_rows, (nx + 7) // 8)
+        np.testing.assert_array_equal(got, pack_rows(want))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 70),
+        st.lists(
+            st.lists(
+                st.tuples(
+                    st.floats(-3.0, 12.0, allow_nan=False),
+                    st.floats(-3.0, 8.0, allow_nan=False),
+                    st.floats(0.0, 10.0, allow_nan=False),
+                    st.floats(0.0, 6.0, allow_nan=False),
+                    st.booleans(),
+                ),
+                max_size=4,
+            ),
+            max_size=4,
+        ),
+    )
+    def test_stack_matches_per_layer_oracle(self, nx, layers):
+        """Random (nested, overlapping, clipped) rectangles per layer."""
+        cell = 8.0 / max(nx, 1) * 1.25
+        lo = np.array([-1.0, -1.0])
+        layer_contours = [
+            [rect(x, y, w + 1e-3, h + 1e-3, ccw) for x, y, w, h, ccw in layer]
+            for layer in layers
+        ]
+        got = rasterize_stack(layer_contours, lo, nx, 7, cell)
+        np.testing.assert_array_equal(
+            got, stack_reference(layer_contours, lo, nx, 7, cell)
+        )
+
+    def test_byte_boundary_edges(self):
+        """Rectangle edges exactly on byte and cell boundaries."""
+        layers = [
+            [rect(0.0, 0.0, 8.0, 3.0)],      # one whole byte
+            [rect(8.0, 0.0, 16.0, 3.0)],     # whole bytes, not the first
+            [rect(3.0, 0.0, 2.0, 3.0)],      # inside one byte
+            [rect(5.0, 0.0, 14.0, 3.0)],     # head, whole byte, tail
+            [rect(-4.0, 0.0, 40.0, 3.0)],    # clipped on both sides
+            [rect(0.0, 0.0, 3.5, 3.0), rect(3.6, 0.0, 4.0, 3.0)],  # overlap
+        ]
+        for nx in (1, 7, 8, 9, 16, 23, 24, 25):
+            got = rasterize_stack(layers, np.zeros(2), nx, 4, 1.0)
+            np.testing.assert_array_equal(
+                got, stack_reference(layers, np.zeros(2), nx, 4, 1.0)
+            )
 
 
 class TestFrameEquivalence:
@@ -186,7 +337,11 @@ class TestScanlineSpansBatch:
 
 
 class TestRasterizeStack:
-    """rasterize_stack == stacking rasterize_frame layer by layer."""
+    """rasterize_stack == packing rasterize_frame layer by layer.
+
+    The stack is row-packed; every layer is also held to the scalar
+    per-scanline oracle and to the boolean difference-array fill.
+    """
 
     @staticmethod
     def _layers():
@@ -202,11 +357,19 @@ class TestRasterizeStack:
         lo = np.array([-1.0, -1.0])
         nx, ny, cell = 20, 16, 0.5
         stack = rasterize_stack(self._layers(), lo, nx, ny, cell)
-        assert stack.shape == (5, ny, nx)
+        assert stack.shape == (5, ny, (nx + 7) // 8)
+        assert stack.dtype == np.uint8
         for iz, contours in enumerate(self._layers()):
             assert np.array_equal(
-                stack[iz], rasterize_frame(contours, lo, nx, ny, cell)
+                stack[iz], pack_rows(rasterize_frame(contours, lo, nx, ny, cell))
             )
+            assert np.array_equal(
+                stack[iz],
+                pack_rows(rasterize_contours_reference(contours, lo, nx, ny, cell)),
+            )
+        assert np.array_equal(
+            stack, stack_reference(self._layers(), lo, nx, ny, cell)
+        )
 
     def test_chunked_equals_unchunked(self, monkeypatch):
         """A tiny broadcast budget forces per-layer chunks; same bits."""
@@ -218,7 +381,7 @@ class TestRasterizeStack:
 
     def test_real_print_stack(self, split_coarse_xy):
         artifact = split_coarse_xy.artifact
-        nz, ny, nx = artifact.model.shape
+        nz, ny, nx = artifact.shape
         layer_contours = [l.contours for l in split_coarse_xy.slices.layers]
         stack = rasterize_stack(
             layer_contours, artifact.origin, nx, ny, artifact.cell_mm
@@ -226,18 +389,24 @@ class TestRasterizeStack:
         for iz in range(min(nz, len(layer_contours))):
             assert np.array_equal(
                 stack[iz],
-                rasterize_frame(
+                pack_rows(rasterize_frame(
                     layer_contours[iz], artifact.origin, nx, ny, artifact.cell_mm
-                ),
+                )),
             )
+        assert np.array_equal(
+            stack,
+            stack_reference(
+                layer_contours, artifact.origin, nx, ny, artifact.cell_mm
+            ),
+        )
 
     def test_empty_stack(self):
         stack = rasterize_stack([], np.zeros(2), 4, 3, 1.0)
-        assert stack.shape == (0, 3, 4)
+        assert stack.shape == (0, 3, 1)
 
     def test_all_layers_empty(self):
         stack = rasterize_stack([[], []], np.zeros(2), 4, 3, 1.0)
-        assert stack.shape == (2, 3, 4)
+        assert stack.shape == (2, 3, 1)
         assert not stack.any()
 
 
