@@ -16,7 +16,8 @@ unless
   witnessing a manifest fingerprint,
 - with ``--jobs > 1``, the merged trace carries spans from at least two
   distinct processes (proof the worker spans were shipped back) unless
-  every ok cell was resumed or cut off - neither computes anything,
+  every ok cell was cut off (a resumed cell is a cut-off cell) - a
+  cut-off cell computes nothing,
 - with ``--baseline-manifest``, the per-cell fingerprints equal the
   baseline run's exactly (the scheduler-equivalence gate: a parallel
   stage-granular sweep must be bit-identical to the serial one),
@@ -215,12 +216,9 @@ def check(
                 f"cut-off sweep.cell span witnesses fingerprint {fp}, "
                 f"which no manifest cell carries"
             )
-    computed = (
-        counters.get("cells_ok", 0) - counters.get("cells_resumed", 0)
-        - cutoff
-    )
+    computed = counters.get("cells_ok", 0) - cutoff
     if jobs > 1 and computed > 0:
-        # A fully-resumed or fully cut-off run computes nothing, so it
+        # A fully cut-off (or fully resumed) run computes nothing, so it
         # legitimately traces one pid; any actually computed cell must
         # have left worker spans in the merged trace.
         pids = {row.get("pid") for row in rows}

@@ -126,17 +126,10 @@ def _sweep_executor_parent() -> argparse.ArgumentParser:
         "instead of aborting at the first failure",
     )
     parent.add_argument(
-        "--journal",
-        default=None,
-        metavar="PATH",
-        help="checkpoint file recording completed cells (defaults to "
-        "<cache-dir>/sweep-journal.jsonl when --cache-dir is given)",
-    )
-    parent.add_argument(
         "--resume",
         action="store_true",
-        help="skip cells already recorded in the journal (crash "
-        "recovery); requires --journal or --cache-dir",
+        help="cut off every cell an earlier run over --cache-dir already "
+        "finalized (crash recovery); requires --cache-dir",
     )
     parent.add_argument(
         "--stats",
@@ -151,7 +144,7 @@ def _sweep_executor_parent() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="write a JSON run manifest to PATH (defaults to "
-        "sweep-manifest.json beside the journal when one is in use, "
+        "<cache-dir>/sweep-manifest.json when --cache-dir is given, "
         "or <trace>.manifest.json when only --trace is given)",
     )
     return parent
@@ -160,11 +153,9 @@ def _sweep_executor_parent() -> argparse.ArgumentParser:
 def _validate_executor_args(args):
     """Validate the shared sweep-executor flags.
 
-    Returns ``(cache_dir, journal, retry)`` or ``None`` after printing
-    a usage error (the caller exits 2).
+    Returns ``(cache_dir, retry)`` or ``None`` after printing a usage
+    error (the caller exits 2).
     """
-    import os
-
     from repro.pipeline import RetryPolicy
 
     if args.jobs < 1:
@@ -176,33 +167,27 @@ def _validate_executor_args(args):
     if args.cell_timeout is not None and args.cell_timeout <= 0:
         print("--cell-timeout must be positive", file=sys.stderr)
         return None
-    cache_dir = args.cache_dir
-    journal = args.journal
-    if journal is None and cache_dir is not None:
-        journal = os.path.join(cache_dir, "sweep-journal.jsonl")
-    if args.resume and journal is None:
-        print("--resume requires --journal or --cache-dir", file=sys.stderr)
+    if args.resume and args.cache_dir is None:
+        print("--resume requires --cache-dir", file=sys.stderr)
         return None
     retry = (
         RetryPolicy(max_attempts=args.max_retries + 1, backoff_s=0.1)
         if args.max_retries
         else None
     )
-    return cache_dir, journal, retry
+    return args.cache_dir, retry
 
 
 def _write_sweep_manifest(
-    args, command, result, protected, resolutions, orientations, journal,
-    spans, tracer, extra_config=None,
+    args, command, result, protected, resolutions, orientations, spans,
+    tracer, extra_config=None,
 ):
     """Resolve the manifest path and write the run manifest, if any."""
     import os
 
     manifest_path = args.manifest
-    if manifest_path is None and journal is not None:
-        manifest_path = os.path.join(
-            os.path.dirname(journal) or ".", "sweep-manifest.json"
-        )
+    if manifest_path is None and args.cache_dir is not None:
+        manifest_path = os.path.join(args.cache_dir, "sweep-manifest.json")
     if manifest_path is None and args.trace is not None:
         manifest_path = args.trace + ".manifest.json"
     if manifest_path is None or result.report is None:
@@ -231,7 +216,6 @@ def _write_sweep_manifest(
         config=config,
         trace_path=args.trace,
         trace_spans=len(spans) if spans is not None else None,
-        journal_path=journal,
         metrics=tracer.metrics if tracer is not None else None,
     )
     manifest_mod.write_manifest(doc, manifest_path)
@@ -254,9 +238,6 @@ def _print_executor_stats(args, result, tracer) -> None:
             for line in report.transport.render():
                 print(line)
         print(f"failed cells: {result.n_failed}")
-        if report is not None:
-            print(f"journal rejected/dropped: "
-                  f"{report.journal_rejected}/{report.journal_dropped}")
     if args.metrics and tracer is not None and tracer.metrics is not None:
         print()
         for line in tracer.metrics.render():
@@ -512,7 +493,7 @@ def _cmd_attack(args) -> int:
     validated = _validate_executor_args(args)
     if validated is None:
         return 2
-    cache_dir, journal, retry = validated
+    cache_dir, retry = validated
 
     protected = Obfuscator(seed=args.seed).protect_tensile_bar()
     print(f"attacking: {protected.describe()}")
@@ -522,7 +503,6 @@ def _cmd_attack(args) -> int:
         retry=retry,
         cell_timeout_s=args.cell_timeout,
         keep_going=args.keep_going,
-        journal_path=journal,
         resume=args.resume,
     )
     tracer = _install_observability(args)
@@ -545,7 +525,7 @@ def _cmd_attack(args) -> int:
     print(f"genuine only under the key: {result.key_only_success}")
     _write_sweep_manifest(
         args, "attack", result, protected, sim.resolutions,
-        sim.orientations, journal, spans, tracer,
+        sim.orientations, spans, tracer,
     )
     _print_executor_stats(args, result, tracer)
     if result.failed:
@@ -579,7 +559,7 @@ def _cmd_sweep(args) -> int:
     validated = _validate_executor_args(args)
     if validated is None:
         return 2
-    cache_dir, journal, retry = validated
+    cache_dir, retry = validated
 
     protected = Obfuscator(seed=args.seed).protect_tensile_bar()
     print(f"sweeping: {protected.describe()}")
@@ -592,7 +572,6 @@ def _cmd_sweep(args) -> int:
         retry=retry,
         cell_timeout_s=args.cell_timeout,
         keep_going=args.keep_going,
-        journal_path=journal,
         resume=args.resume,
     )
     tracer = _install_observability(args)
@@ -619,7 +598,7 @@ def _cmd_sweep(args) -> int:
     print(f"genuine only under the key: {result.key_only_success}")
     _write_sweep_manifest(
         args, "sweep", result, protected, resolutions, orientations,
-        journal, spans, tracer, extra_config={"machine": args.machine},
+        spans, tracer, extra_config={"machine": args.machine},
     )
     _print_executor_stats(args, result, tracer)
     if result.failed:
@@ -684,7 +663,7 @@ def _cmd_serve(args) -> int:
                   f"positive weight, got {spec!r}", file=sys.stderr)
             return 2
         tenant_weights[tenant] = parsed
-    cache_dir, _journal, retry = validated
+    cache_dir, retry = validated
     tmp = None
     if cache_dir is None:
         tmp = tempfile.TemporaryDirectory(prefix="repro-service-cache-")

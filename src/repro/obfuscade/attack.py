@@ -133,9 +133,10 @@ class CounterfeiterSimulator:
         :attr:`AttackResult.failed` (``True``, default) or aborts the
         search (``False``, raising
         :class:`~repro.pipeline.parallel.SweepAborted`).
-    journal_path / resume:
-        Checkpoint file for crash-resumable searches; ``resume`` skips
-        cells whose journal record is intact.
+    resume:
+        Crash recovery: cut off every cell whose verdict an earlier
+        search persisted in ``cache_dir`` (required), as for
+        :class:`ParallelSweep`.
     """
 
     def __init__(
@@ -148,7 +149,6 @@ class CounterfeiterSimulator:
         retry: Optional[RetryPolicy] = None,
         cell_timeout_s: Optional[float] = None,
         keep_going: bool = True,
-        journal_path: Optional[str] = None,
         resume: bool = False,
     ):
         if jobs < 1:
@@ -161,7 +161,6 @@ class CounterfeiterSimulator:
         self.retry = retry if retry is not None else NO_RETRY
         self.cell_timeout_s = cell_timeout_s
         self.keep_going = keep_going
-        self.journal_path = journal_path
         self.resume = resume
 
     def attack(self, protected: ProtectedModel) -> AttackResult:
@@ -173,7 +172,6 @@ class CounterfeiterSimulator:
             retry=self.retry,
             cell_timeout_s=self.cell_timeout_s,
             keep_going=self.keep_going,
-            journal_path=self.journal_path,
             resume=self.resume,
         )
         report = sweep.run(

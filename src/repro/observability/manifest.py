@@ -6,8 +6,7 @@ instruments the physical chain the same way.  A :func:`sweep_manifest`
 is our software chain's audit record: input digests, configuration,
 environment, per-stage timings, cache/integrity/retry counters and the
 final artifact fingerprints of one sweep, written atomically (temp file
-+ ``os.replace``) next to the journal so a crash can never leave a
-half-written manifest.
++ ``os.replace``) so a crash can never leave a half-written manifest.
 
 The builder is duck-typed over :class:`~repro.pipeline.parallel.SweepReport`
 (anything with ``cells``/``errors``/``stats``/``jobs``/``wall_s``)
@@ -63,7 +62,6 @@ def sweep_manifest(
     config: Optional[Dict[str, Any]] = None,
     trace_path: Optional[Union[str, os.PathLike]] = None,
     trace_spans: Optional[int] = None,
-    journal_path: Optional[Union[str, os.PathLike]] = None,
     metrics=None,
 ) -> Dict[str, Any]:
     """Build the manifest document for one sweep ``report``.
@@ -77,7 +75,6 @@ def sweep_manifest(
             "orientation": c.orientation,
             "fingerprint": c.fingerprint,
             "attempts": c.attempts,
-            "resumed": bool(c.resumed),
         }
         for c in report.cells
     ]
@@ -118,13 +115,10 @@ def sweep_manifest(
             "retries": retries,
             "cells_ok": len(cells),
             "cells_failed": len(errors),
-            "cells_resumed": getattr(report, "resumed", 0),
             "pool_rebuilds": getattr(report, "pool_rebuilds", 0),
             "degraded_to_serial": bool(
                 getattr(report, "degraded_to_serial", False)
             ),
-            "journal_rejected": getattr(report, "journal_rejected", 0),
-            "journal_dropped": getattr(report, "journal_dropped", 0),
         },
         "timings": {
             "wall_s": report.wall_s,
@@ -160,8 +154,6 @@ def sweep_manifest(
             "path": str(trace_path),
             "spans": trace_spans,
         }
-    if journal_path is not None:
-        manifest["journal"] = {"path": str(journal_path)}
     if metrics is not None:
         manifest["metrics"] = metrics.to_dict()
     return manifest
@@ -196,7 +188,7 @@ def validate_manifest(manifest: Dict[str, Any]) -> List[str]:
     else:
         for i, cell in enumerate(manifest["cells"]):
             for key in ("resolution", "orientation", "fingerprint",
-                        "attempts", "resumed"):
+                        "attempts"):
                 if key not in cell:
                     problems.append(f"cells[{i}] missing {key!r}")
     if not isinstance(manifest.get("stages"), dict):

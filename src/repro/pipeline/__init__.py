@@ -26,7 +26,6 @@ from repro.pipeline.chain import ChainArtifacts, ChainContext, ProcessChain
 from repro.pipeline.disk import ROOTS_STAGE, DiskStageCache
 from repro.pipeline.fleet import FleetJob, FleetScheduler
 from repro.pipeline.graph import SchedulerStats, StageGraph, StageGraphError
-from repro.pipeline.journal import SweepJournal
 from repro.pipeline.parallel import (
     ParallelSweep,
     SweepAborted,
@@ -83,7 +82,6 @@ __all__ = [
     "SweepAborted",
     "SweepCellError",
     "SweepCellResult",
-    "SweepJournal",
     "SweepReport",
     "TRANSIENT_ERRORS",
     "TransportStats",

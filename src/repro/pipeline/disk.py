@@ -38,6 +38,13 @@ Lookups go memory first, then disk (populating memory), then compute.
 Both tiers count as cache *hits* in the stage counters; disk hits are
 additionally tallied per stage in :attr:`disk_hits` so sweeps can
 report how much crossed process boundaries.
+
+The finalize memo (:meth:`derived_put`) is persisted too, one small
+entry per cell under ``<root>/__finalize__/``, through the same
+verified store.  A memo entry is a verdict - a forged one would pass a
+sabotaged print as clean - so it gets exactly the sidecar check and
+quarantine of every stage artifact; its trust boundary is the cache
+directory's write permission.
 """
 
 from __future__ import annotations
@@ -63,6 +70,12 @@ QUARANTINE_DIR = "quarantine"
 #: sweep fans out over).  Roots are published by the parent and resolved
 #: by digest in workers (handle-passing), never counted as stage runs.
 ROOTS_STAGE = "__roots__"
+
+#: Pseudo-stage directory of the persisted finalize memo: one
+#: ``(fingerprint, assessment)`` entry per
+#: :func:`~repro.pipeline.report.finalize_key`, read back only by a
+#: resumed fleet job.
+FINALIZE_STAGE = "__finalize__"
 
 
 class DiskStageCache(StageCache):
@@ -356,6 +369,12 @@ class DiskStageCache(StageCache):
                 self._remember_decoded(key, value)
             self._store(stage_name, key, stored)
             return value, False
+
+    def derived_put(self, key: str, value: Any) -> None:
+        """As :meth:`StageCache.derived_put`, also persisting the entry
+        under :data:`FINALIZE_STAGE` for a later resumed run."""
+        super().derived_put(key, value)
+        self._store(FINALIZE_STAGE, key, value)
 
     # -- shared roots (handle-passing) --------------------------------------
 

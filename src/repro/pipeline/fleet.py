@@ -30,14 +30,18 @@ Per-job accounting is split out of shared-node execution:
 Admission also applies *early cutoff* (Mokhov, Mitchell and Peyton
 Jones, *Build Systems a la Carte*): a cell's content digests are pure,
 so planning computes them first and looks up the cell's
-:func:`~repro.pipeline.report.finalize_key` in the fleet-lifetime
-finalize memo, which every successful finalize seeds.  A hit resolves
-the cell at admission - no node claim, no task, no artifact load, no
-stage counter - and counts it as ``cutoff_cells``; a job whose every
-cell is cut off completes inside :meth:`FleetScheduler.admit`.  The
-memo lives in process memory, like the worker-side memo
-:func:`~repro.pipeline.scheduler.execute_finalize` already serves, and
-only assess callables with a stable identity are memoized.
+:func:`~repro.pipeline.report.finalize_key` in the finalize memo,
+which every successful finalize seeds.  A hit resolves the cell at
+admission - no node claim, no task, no artifact load, no stage
+counter - and counts it as ``cutoff_cells``; a job whose every cell is
+cut off completes inside :meth:`FleetScheduler.admit`.  The fleet is
+the memo's only reader and writer, and only assess callables with a
+stable identity are memoized.  The memo lives in the cache's process
+memory; a :class:`~repro.pipeline.disk.DiskStageCache` also persists
+every entry, hash-verified like any stage artifact.  A job admitted
+with ``resume=True`` falls back to that persisted memo, so resuming a
+sweep over its cache directory cuts off every cell an earlier run
+finalized.
 
 Scheduling order respects job priorities (lower = more urgent),
 deadlines and admission order: a ready node ranks by the most urgent
@@ -71,7 +75,7 @@ from repro import observability as obs
 from repro.mesh.content_hash import model_digest
 from repro.pipeline.cache import CacheStats, StageCache
 from repro.pipeline.chain import ChainContext
-from repro.pipeline.disk import DiskStageCache
+from repro.pipeline.disk import FINALIZE_STAGE, DiskStageCache
 from repro.pipeline.graph import SchedulerStats
 from repro.pipeline.report import (
     SweepCellError,
@@ -126,6 +130,7 @@ class FleetJob:
         priority: int = DEFAULT_PRIORITY,
         deadline_s: Optional[float] = None,
         on_complete: Optional[Callable[["FleetJob"], None]] = None,
+        resume: bool = False,
     ):
         if not grid:
             raise PipelineConfigError("a fleet job needs a non-empty grid")
@@ -138,6 +143,9 @@ class FleetJob:
         self.priority = priority
         self.deadline_s = deadline_s
         self.on_complete = on_complete
+        #: Also cut off cells whose verdict an earlier run persisted
+        #: in the fleet's disk cache (needs a :class:`DiskStageCache`).
+        self.resume = resume
         # Filled at admission.
         self.seq: int = 0
         self.admitted_s: Optional[float] = None
@@ -212,8 +220,8 @@ class FleetScheduler:
     ----------
     cache:
         The :class:`StageCache` every job's artifacts flow through.
-        Inline tasks run on it, and its derived memo is the
-        fleet-lifetime finalize memo every admission checks.  A pooled
+        Inline tasks run on it, and its derived memo is the finalize
+        memo every admission checks.  A pooled
         fleet (``jobs > 1``) needs a :class:`DiskStageCache`: its
         workers open the cache's ``root``.
     jobs:
@@ -316,6 +324,8 @@ class FleetScheduler:
         job whose every cell is cut off completes here; its callback
         fires from the next :meth:`step`.  Returns ``job``.
         """
+        if job.resume and not isinstance(self.cache, DiskStageCache):
+            raise PipelineConfigError("a resumed job needs a DiskStageCache")
         planning_chain = job.config.build(StageCache())
         digest = model_digest(job.model)
         with self._lock:
@@ -373,6 +383,14 @@ class FleetScheduler:
         memo_key = self._finalize_key(job, index)
         if memo_key is not None:
             memo = self.cache.derived_get(memo_key)
+            if memo is None and job.resume:
+                # A tampered entry is quarantined here, in the parent,
+                # outside every task's stats delta: charge it to the job.
+                failures = self.cache.stats.integrity_failures
+                memo, _ = self.cache._load(FINALIZE_STAGE, memo_key)
+                job.stats.integrity_failures += (
+                    self.cache.stats.integrity_failures - failures
+                )
             if memo is not None:
                 self._cut_off(job, index, planned, memo)
                 return
@@ -622,8 +640,9 @@ class FleetScheduler:
                 fingerprint, assessment, attempts = result
                 memo_key = self._finalize_key(job, index)
                 if memo_key is not None:
-                    # Seed the fleet memo: a later admission of this
-                    # cell is cut off.  Errors are never memoized.
+                    # Seed the memo (a disk cache persists it): a
+                    # later admission of this cell is cut off.  Errors
+                    # are never memoized.
                     self.cache.derived_put(
                         memo_key, (fingerprint, assessment)
                     )

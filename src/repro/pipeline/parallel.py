@@ -4,9 +4,9 @@ A settings grid search - the defender's key search and the
 counterfeiter's brute force alike - is embarrassingly parallel across
 grid cells, but the cells share work: tessellation and coincident-face
 resolution depend only on the resolution, not the orientation.
-:class:`ParallelSweep` is the sweep facade: it expands the grid, keys
-and journals the cells, and runs the cells it must compute as a fleet
-of one job on a private :class:`~repro.pipeline.fleet.FleetScheduler`.
+:class:`ParallelSweep` is the sweep facade: it expands the grid and
+runs it as a fleet of one job on a private
+:class:`~repro.pipeline.fleet.FleetScheduler`.
 The fleet merges the cells into one ``(stage, content digest)`` node
 set, so shared upstream nodes are *scheduled exactly once* (not merely
 deduplicated by cache races), and executes the nodes inline on the
@@ -34,39 +34,29 @@ failures are *isolated*.  Here:
 * a worker death (:class:`~concurrent.futures.process.BrokenProcessPool`)
   triggers a bounded number of pool rebuilds with resubmission of the
   lost nodes, then graceful degradation to serial execution;
-* completed cells are checkpointed to a
-  :class:`~repro.pipeline.journal.SweepJournal` as they finish, so a
-  crashed sweep can ``resume`` without recomputing finished cells - and
-  the fleet never even *plans* a replayed cell's nodes.
+* every finished cell's verdict is persisted in the disk cache's
+  finalize memo as it lands, so a crashed sweep can ``resume`` over its
+  cache directory: the fleet cuts every finished cell off at admission
+  and never even *plans* its nodes.
 """
 
 from __future__ import annotations
 
 import tempfile
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from repro import observability as obs
 from repro.cad.resolution import StlResolution
-from repro.mesh.content_hash import model_digest
-from repro.pipeline.cache import digest_parts
-from repro.pipeline.chain import (
-    ProcessChain,
-    _machine_key,
-    _resolution_key,
-    _settings_key,
-)
+from repro.pipeline.chain import ProcessChain
 from repro.pipeline.disk import DiskStageCache
 from repro.pipeline.fleet import FleetJob, FleetScheduler
-from repro.pipeline.graph import SchedulerStats
-from repro.pipeline.journal import SweepJournal
 from repro.pipeline.report import (
     SweepAborted,
     SweepCellError,
     SweepCellResult,
     SweepReport,
     TransportStats,
-    assess_identity,
     cell_error_from_exception,
     outcome_fingerprint,
 )
@@ -128,13 +118,11 @@ class ParallelSweep:
         ``True`` (default): failed cells become
         :attr:`SweepReport.errors` and the sweep completes.  ``False``:
         the first exhausted cell raises :class:`SweepAborted`.
-    journal_path:
-        Checkpoint file; every completed cell is appended so a crashed
-        sweep can be resumed.
     resume:
-        Replay ``journal_path`` before running: cells with an intact
-        journal record are served from it instead of recomputed (their
-        nodes are never planned into the fleet).
+        Cut off every cell whose verdict an earlier run persisted in
+        ``cache_dir`` (required): such cells are served from the
+        verified finalize memo instead of recomputed, and their nodes
+        are never planned into the fleet.
     max_pool_rebuilds:
         Worker-pool rebuilds after :class:`BrokenProcessPool` before
         the remaining nodes degrade to serial in-process execution.
@@ -154,7 +142,6 @@ class ParallelSweep:
         retry: Optional[RetryPolicy] = None,
         cell_timeout_s: Optional[float] = None,
         keep_going: bool = True,
-        journal_path: Optional[str] = None,
         resume: bool = False,
         max_pool_rebuilds: int = MAX_POOL_REBUILDS,
         pool: Optional[WorkerPool] = None,
@@ -165,8 +152,8 @@ class ParallelSweep:
             raise PipelineConfigError("cell_timeout_s must be positive or None")
         if max_pool_rebuilds < 0:
             raise PipelineConfigError("max_pool_rebuilds must be >= 0")
-        if resume and journal_path is None:
-            raise PipelineConfigError("resume requires a journal_path")
+        if resume and cache_dir is None:
+            raise PipelineConfigError("resume requires a cache_dir")
         self.chain = chain if chain is not None else ProcessChain()
         self.config = ChainConfig.of(self.chain)
         self.jobs = jobs
@@ -174,7 +161,6 @@ class ParallelSweep:
         self.retry = retry if retry is not None else NO_RETRY
         self.cell_timeout_s = cell_timeout_s
         self.keep_going = keep_going
-        self.journal_path = journal_path
         self.resume = resume
         self.max_pool_rebuilds = max_pool_rebuilds
         self.pool = pool
@@ -199,31 +185,16 @@ class ParallelSweep:
         if not grid:
             return SweepReport(jobs=self.jobs)
         start = time.perf_counter()
-        journal = (
-            SweepJournal(self.journal_path) if self.journal_path else None
-        )
         with obs.span(
             "sweep.run", jobs=self.jobs, grid=len(grid), resume=self.resume
         ):
-            keys = [
-                self._cell_key(model, r, o, assess, analyze_seam)
-                for r, o in grid
-            ]
-            replayed = self._replay(journal, keys) if self.resume else {}
-            report = self._execute(
-                model, grid, keys, replayed, assess, analyze_seam, journal
-            )
+            report = self._execute(model, grid, assess, analyze_seam)
             report.wall_s = time.perf_counter() - start
-            if journal is not None and self.resume:
-                report.journal_rejected = journal.rejected_lines
-                report.journal_dropped = journal.dropped_lines
             obs.annotate(
                 cells_ok=len(report.cells),
                 cells_failed=len(report.errors),
-                resumed=report.resumed,
                 pool_rebuilds=report.pool_rebuilds,
                 degraded_to_serial=report.degraded_to_serial,
-                journal_rejected=report.journal_rejected,
                 wall_s=report.wall_s,
             )
         if report.errors and not self.keep_going:
@@ -232,12 +203,8 @@ class ParallelSweep:
 
     # -- execution -----------------------------------------------------------
 
-    def _execute(
-        self, model, grid, keys, replayed, assess, analyze_seam, journal
-    ) -> SweepReport:
-        """Run every non-replayed cell as one fleet job; journal each
-        cell as it finishes; merge with the replayed cells."""
-        todo = [i for i in range(len(grid)) if i not in replayed]
+    def _execute(self, model, grid, assess, analyze_seam) -> SweepReport:
+        """Run the grid as one fleet job on the sweep's cache."""
         tmp = None
         if self.cache_dir is not None:
             cache = DiskStageCache(self.cache_dir)
@@ -255,30 +222,22 @@ class ParallelSweep:
             max_pool_rebuilds=self.max_pool_rebuilds,
             pool=self.pool,
         )
-        job = None
         try:
-            if todo:
-                job = fleet.admit(FleetJob(
-                    "sweep", model, [grid[i] for i in todo], self.config,
-                    assess=assess,
-                    analyze_seam=analyze_seam,
-                ))
-            counters = job.counters if job else SchedulerStats()
+            job = fleet.admit(FleetJob(
+                "sweep", model, grid, self.config,
+                assess=assess,
+                analyze_seam=analyze_seam,
+                resume=self.resume,
+            ))
+            counters = job.counters
             with obs.span(
                 "graph.run",
                 jobs=self.jobs,
-                cells=len(todo),
+                cells=len(grid),
                 nodes=counters.total_scheduled,
             ):
-                journaled: set = set()
                 while fleet.has_work():
                     fleet.step()
-                    if journal is None:
-                        continue
-                    for j, cell in list(job.results.items()):
-                        if j not in journaled and keys[todo[j]] is not None:
-                            journal.append(keys[todo[j]], cell)
-                            journaled.add(j)
                 obs.annotate(
                     scheduled=counters.total_scheduled,
                     deduped=counters.total_deduped,
@@ -288,83 +247,7 @@ class ParallelSweep:
             fleet.shutdown()
             if tmp is not None:
                 tmp.cleanup()
-        results = dict(replayed)
-        if job is None:
-            report = SweepReport(
-                jobs=self.jobs,
-                scheduler=counters,
-                transport=TransportStats() if self.jobs > 1 else None,
-            )
-        else:
-            report = job.report
-            results.update((todo[j], c) for j, c in job.results.items())
-            tracer = obs.get_tracer()
-            if tracer is not None:
-                tracer.adopt(job.spans)
-        report.cells = [results[i] for i in sorted(results)]
-        report.resumed = len(replayed)
-        return report
-
-    # -- journal -------------------------------------------------------------
-
-    def _cell_key(
-        self, model, resolution, orientation, assess, analyze_seam
-    ) -> Optional[str]:
-        """Content address of one cell: everything that determines it.
-
-        ``None`` when ``assess`` has no stable identity
-        (:func:`~repro.pipeline.report.assess_identity`): such a cell
-        is neither replayed from nor appended to the journal.
-        """
-        assess_key = assess_identity(assess)
-        if assess is not None and assess_key is None:
-            return None
-        return digest_parts(
-            "sweep-cell",
-            model_digest(model),
-            _resolution_key(resolution),
-            orientation.value,
-            _machine_key(self.config.machine),
-            _settings_key(self.config.settings),
-            self.config.raster_cell_mm,
-            self.config.plate_margin_mm,
-            analyze_seam,
-            assess_key,
-        )
-
-    def _replay(
-        self, journal: Optional[SweepJournal], keys: List[str]
-    ) -> Dict[int, SweepCellResult]:
-        """Cells served straight from the journal, by grid index."""
-        if journal is None:
-            return {}
-        entries = journal.load()
-        replayed: Dict[int, SweepCellResult] = {}
-        for index, key in enumerate(keys):
-            stored = None if key is None else entries.get(key)
-            if isinstance(stored, SweepCellResult):
-                replayed[index] = SweepCellResult(
-                    resolution=stored.resolution,
-                    orientation=stored.orientation,
-                    fingerprint=stored.fingerprint,
-                    assessment=stored.assessment,
-                    stage_log=stored.stage_log,
-                    attempts=stored.attempts,
-                    resumed=True,
-                )
-                # A trace must witness every cell of the run, replayed
-                # ones included - resumed cells otherwise vanish from
-                # the audit trail.
-                with obs.span(
-                    "sweep.cell",
-                    cell=f"{stored.resolution}/{stored.orientation}",
-                    resolution=stored.resolution,
-                    orientation=stored.orientation,
-                ):
-                    obs.annotate(
-                        outcome="resumed",
-                        resumed=True,
-                        attempts=stored.attempts,
-                        fingerprint=stored.fingerprint,
-                    )
-        return replayed
+        tracer = obs.get_tracer()
+        if tracer is not None:
+            tracer.adopt(job.spans)
+        return job.report

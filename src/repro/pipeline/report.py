@@ -163,8 +163,6 @@ class SweepCellResult:
     stage_log: Tuple = ()
     #: Attempts the retry policy spent on this cell (1 = first try).
     attempts: int = 1
-    #: True when the cell was replayed from a resume journal.
-    resumed: bool = False
 
 
 @dataclass(frozen=True)
@@ -207,18 +205,11 @@ class SweepReport:
     stats: CacheStats = field(default_factory=CacheStats)
     jobs: int = 1
     wall_s: float = 0.0
-    #: Cells replayed from the resume journal instead of recomputed.
-    resumed: int = 0
     #: Process pools rebuilt after worker deaths.
     pool_rebuilds: int = 0
     #: True when pool rebuilds were exhausted and the remaining cells
     #: ran serially in-process.
     degraded_to_serial: bool = False
-    #: Journal records rejected during resume (failed HMAC verification;
-    #: tampered, truncated, or written under a different secret).
-    journal_rejected: int = 0
-    #: Journal lines that could not even be parsed during resume.
-    journal_dropped: int = 0
     #: Node-scheduling counters of the fleet scheduler
     #: (requested/scheduled/deduped/executed per stage).
     #: ``None`` for reports produced outside the sweep executor.

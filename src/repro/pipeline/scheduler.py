@@ -13,12 +13,10 @@ inline in the dispatching process or in a pool worker:
   :func:`_run_node_task` is the pool-worker entry around it;
 * :class:`WorkerPool` is the long-lived, rebuildable process pool.
 
-A finalize consults the executing cache's derived memo under
-:func:`~repro.pipeline.report.finalize_key` before it materializes
-anything; the fleet keeps a memo under the same key at plan time, so a
-cell it has already finalized is cut off before any task ships.  A
-``None`` key (an assess callable without a stable identity) bypasses
-both memos.
+A finalize always materializes and judges its cell: the finalize memo
+is the fleet's alone (:mod:`repro.pipeline.fleet`), consulted at plan
+time, so a cell it has already finalized is cut off before any task
+ships.
 
 Accounting invariants, relied on by the observability layer:
 
@@ -48,7 +46,6 @@ from repro.pipeline.disk import DiskStageCache
 from repro.pipeline.graph import run_stage
 from repro.pipeline.report import (
     cell_error_from_exception,
-    finalize_key,
     outcome_fingerprint,
 )
 from repro.pipeline.resilience import PipelineError, RetryPolicy, time_limit
@@ -188,17 +185,14 @@ def execute_finalize(
     The per-cell ``sweep.cell`` trace span is emitted here - finalize
     runs where the cell's verdict is produced (a worker in pooled
     mode, the parent inline).
-    Deliberately uncached and unaccounted: assembling an outcome from
-    cached artifacts is not a stage execution, so a warm sweep still
-    reports zero misses and a fully-replayed resume reports zero of
-    everything.  Returns ``(fingerprint, assessment, attempts)``;
+    Deliberately unaccounted: assembling an outcome from cached
+    artifacts is not a stage execution, so a warm sweep still reports
+    zero misses.  The verdict is memoized by the fleet, which receives
+    it, not here.  Returns ``(fingerprint, assessment, attempts)``;
     raises on failure.
     """
     resolution = ctx.resolution
     orientation = ctx.orientation
-    memo_key = finalize_key(
-        (digests[name] for name in OUTCOME_STAGES), assess
-    )
 
     def attempt():
         with time_limit(timeout_s, what=f"cell {cell}"):
@@ -217,8 +211,6 @@ def execute_finalize(
             )
             fingerprint = outcome_fingerprint(outcome)
             assessment = assess(outcome) if assess is not None else None
-            if memo_key is not None:
-                cache.derived_put(memo_key, (fingerprint, assessment))
             return fingerprint, assessment
 
     with obs.span(
@@ -227,21 +219,6 @@ def execute_finalize(
         resolution=resolution.name,
         orientation=orientation.value,
     ):
-        # A memoized derivation (same outcome digests, same assess
-        # callable) serves the verdict without re-materializing the
-        # grids or re-hashing them - the all-hits fast path.  The span
-        # still witnesses the cell either way.  An assess callable
-        # without a stable identity has no memo key and always runs.
-        memo = None if memo_key is None else cache.derived_get(memo_key)
-        if memo is not None:
-            fingerprint, assessment = memo
-            obs.annotate(
-                outcome="ok",
-                attempts=attempts_hint,
-                fingerprint=fingerprint,
-                derived_hit=True,
-            )
-            return fingerprint, assessment, attempts_hint
         try:
             (fingerprint, assessment), attempts = retry.call(attempt)
         except Exception as exc:

@@ -206,6 +206,8 @@ class PrintedArtifact:
         #: ``(nz, ny, nx)`` of every grid.
         self.shape: Tuple[int, int, int] = tuple(shape)
         self._bits = bits
+        #: Set-voxel count per grid name, filled by :meth:`voxel_count`.
+        self._counts: Dict[str, int] = {}
         self.cell_mm = cell_mm
         self.layer_height_mm = layer_height_mm
         self.origin = origin  # (x0, y0) of cell [:, 0, 0]
@@ -238,8 +240,11 @@ class PrintedArtifact:
             yield unpack_rows(bits[z:z + step], nx)
 
     def voxel_count(self, name: str) -> int:
-        """Set voxels of one grid, counted on the packed bytes."""
-        return popcount(self._bits[name])
+        """Set voxels of one grid, counted once on the packed bytes."""
+        count = self._counts.get(name)
+        if count is None:
+            count = self._counts[name] = popcount(self._bits[name])
+        return count
 
     model = property(lambda self: self.grid("model"))
     support = property(lambda self: self.grid("support"))

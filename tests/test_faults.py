@@ -31,6 +31,7 @@ from repro.pipeline import (
     ProcessChain,
     RetryPolicy,
 )
+from repro.pipeline.disk import FINALIZE_STAGE
 from repro.pipeline.scheduler import ChainConfig
 from repro.printer.orientation import PrintOrientation
 
@@ -68,6 +69,13 @@ def baseline(protected):
 
 def _fingerprints(report):
     return {(c.resolution, c.orientation): c.fingerprint for c in report.cells}
+
+
+def _assess_at_fault_site(outcome):
+    """``assess_print`` behind an ``assess`` fault site (a module-level
+    function, so its verdicts are memoized)."""
+    faults.fire("assess")
+    return assess_print(outcome)
 
 
 class TestFaultPlan:
@@ -305,6 +313,63 @@ class TestChaosSweep:
         assert rerun.stats.integrity_failures == 1
         assert _fingerprints(rerun) == baseline
         assert (cache_dir / "quarantine").is_dir()
+
+    def test_tampered_memo_during_pooled_resume_recomputed(
+        self, protected, baseline, tmp_path
+    ):
+        """A memo entry corrupted as a jobs=2 resume reads it is
+        quarantined in the parent, counted, and its cell recomputed
+        to the serial fingerprint."""
+        cache_dir = tmp_path / "cache"
+        warm = ParallelSweep(jobs=1, cache_dir=str(cache_dir)).run(
+            protected.model, GRID_RESOLUTIONS, GRID_ORIENTATIONS,
+            assess=assess_print,
+        )
+        assert warm.ok
+        faults.install(FaultPlan((
+            FaultSpec(f"cache.load.{FINALIZE_STAGE}", "corrupt-file",
+                      times=1),
+        )))
+        resumed = ParallelSweep(
+            jobs=2, cache_dir=str(cache_dir), resume=True
+        ).run(
+            protected.model, GRID_RESOLUTIONS, GRID_ORIENTATIONS,
+            assess=assess_print,
+        )
+        assert resumed.ok
+        assert resumed.scheduler.cutoff_cells == 1
+        assert resumed.stats.integrity_failures == 1
+        assert _fingerprints(resumed) == baseline
+        assert (cache_dir / "quarantine").is_dir()
+
+    def test_failed_cell_not_persisted_so_resume_recomputes_it(
+        self, protected, baseline, tmp_path
+    ):
+        """A cell whose assess raised (keep_going) leaves no memo
+        entry: a resume cuts off the finished cell and recomputes
+        exactly the failed one."""
+        cache_dir = tmp_path / "cache"
+        faults.install(FaultPlan((
+            FaultSpec("assess", "raise-oserror", times=1),
+        )))
+        first = ParallelSweep(jobs=1, cache_dir=str(cache_dir)).run(
+            protected.model, GRID_RESOLUTIONS, GRID_ORIENTATIONS,
+            assess=_assess_at_fault_site,
+        )
+        faults.uninstall()
+        assert len(first.errors) == 1 and len(first.cells) == 1
+        assert len(list((cache_dir / FINALIZE_STAGE).glob("*.pkl"))) == 1
+        resumed = ParallelSweep(
+            jobs=1, cache_dir=str(cache_dir), resume=True
+        ).run(
+            protected.model, GRID_RESOLUTIONS, GRID_ORIENTATIONS,
+            assess=_assess_at_fault_site,
+        )
+        assert resumed.ok
+        assert resumed.scheduler.cutoff_cells == 1
+        assert _fingerprints(resumed) == baseline
+        # The failed cell's verdict landed only now.
+        assert len(list((cache_dir / FINALIZE_STAGE).glob("*.pkl"))) == 2
 
     def test_transient_oserror_retried_to_success(
         self, protected, baseline

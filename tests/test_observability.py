@@ -202,7 +202,7 @@ class TestManifest:
     def test_sweep_manifest_schema_and_counters(self):
         doc = manifest_mod.sweep_manifest(
             self._report(), model_name="bar", model_digest="d" * 12,
-            config={"jobs": 2}, journal_path="/tmp/j.jsonl",
+            config={"jobs": 2},
         )
         assert manifest_mod.validate_manifest(doc) == []
         assert doc["counters"]["cache_hits"] == 1
@@ -212,7 +212,6 @@ class TestManifest:
             "integrity_failures": 0, "store_failures": 0,
             "zero_copy_hits": 0, "mmap_bytes": 0, "pickle_bytes": 0,
         }
-        assert doc["journal"]["path"] == "/tmp/j.jsonl"
 
     def test_write_read_roundtrip(self, tmp_path):
         doc = manifest_mod.sweep_manifest(self._report())

@@ -2,7 +2,7 @@
 
 ISSUE 3: the exception hierarchy, retry policy and wall-clock budget in
 :mod:`repro.pipeline.resilience`; the hash-verified, quarantining
-:class:`DiskStageCache`; and the tamper-evident resume journal.
+:class:`DiskStageCache`, which also guards the persisted finalize memo.
 """
 
 import signal
@@ -21,9 +21,9 @@ from repro.pipeline import (
     PipelineError,
     RetryPolicy,
     StageError,
-    SweepJournal,
     time_limit,
 )
+from repro.pipeline.disk import FINALIZE_STAGE
 from repro.pipeline.resilience import NO_RETRY, TRANSIENT_ERRORS
 
 
@@ -295,80 +295,21 @@ class TestDiskCacheIntegrity:
         assert "integrity failures" not in rendered
         assert "store failures" not in rendered
 
+    def test_finalize_memo_persisted_and_verified(self, tmp_path):
+        """``derived_put`` persists a verdict through the verified store;
+        a fresh cache reads it back."""
+        DiskStageCache(tmp_path).derived_put("k1", ("fp", "grade"))
+        path = tmp_path / FINALIZE_STAGE / "k1.pkl"
+        assert path.is_file()
+        assert (tmp_path / FINALIZE_STAGE / "k1.pkl.sha256").is_file()
+        fresh = DiskStageCache(tmp_path)
+        assert fresh.derived_get("k1") is None  # memory tier only
+        assert fresh._load(FINALIZE_STAGE, "k1") == (("fp", "grade"), True)
 
-class TestSweepJournal:
-    def test_roundtrip(self, tmp_path):
-        journal = SweepJournal(tmp_path / "j.jsonl")
-        assert not journal.exists()
-        assert journal.load() == {}
-        journal.append("k1", {"cell": 1})
-        journal.append("k2", [1, 2, 3])
-        assert journal.load() == {"k1": {"cell": 1}, "k2": [1, 2, 3]}
-
-    def test_later_record_wins(self, tmp_path):
-        journal = SweepJournal(tmp_path / "j.jsonl")
-        journal.append("k1", "first")
-        journal.append("k1", "second")
-        assert journal.load() == {"k1": "second"}
-
-    def test_truncated_tail_dropped(self, tmp_path):
-        """A crash mid-append loses that record and nothing else."""
-        path = tmp_path / "j.jsonl"
-        journal = SweepJournal(path)
-        journal.append("k1", "kept")
-        journal.append("k2", "lost")
-        data = path.read_bytes()
-        path.write_bytes(data[: len(data) - 30])
-        assert journal.load() == {"k1": "kept"}
-
-    def test_tampered_record_dropped(self, tmp_path):
-        import json
-
-        path = tmp_path / "j.jsonl"
-        journal = SweepJournal(path)
-        journal.append("k1", "real")
-        record = json.loads(path.read_text())
-        record["result"] = record["result"][:-4] + "AAA="
-        path.write_text(json.dumps(record) + "\n")
-        assert journal.load() == {}
-
-    def test_garbage_lines_skipped(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        journal = SweepJournal(path)
-        journal.append("k1", "real")
-        with open(path, "a") as fh:
-            fh.write("not json at all\n\n{\"key\": \"k2\"}\n")
-        assert journal.load() == {"k1": "real"}
-
-    def test_damage_is_counted_not_silent(self, tmp_path):
-        """ISSUE 4 satellite: rejected and undecodable lines are
-        tallied so a resume can report how much damage it absorbed."""
-        import json
-
-        path = tmp_path / "j.jsonl"
-        journal = SweepJournal(path)
-        journal.append("k1", "real")
-        record = json.loads(path.read_text())
-        forged = dict(record, key="k2")  # re-keyed, MAC now wrong
-        with open(path, "a") as fh:
-            fh.write(json.dumps(forged) + "\n")
-            fh.write("garbage line\n")
-        assert journal.load() == {"k1": "real"}
-        assert journal.rejected_lines == 1
-        assert journal.dropped_lines == 1
-        # Counters reset per load, not accumulated across loads.
-        journal.load()
-        assert journal.rejected_lines == 1
-
-    def test_forged_record_never_unpickled(self, tmp_path):
-        """The core ISSUE 4 journal fix: the old format self-certified
-        (sha256 of the payload itself), so an attacker-rewritten record
-        reached ``pickle.loads``.  A record without a valid HMAC under
-        the per-run secret must be rejected *before* deserialization."""
-        import base64
-        import json
+    def test_forged_memo_never_unpickled(self, tmp_path):
+        """A memo entry is a verdict: a payload rewritten behind its
+        sidecar is rejected *before* deserialization and quarantined."""
         import pickle
-        from hashlib import sha256
 
         fired = []
 
@@ -376,27 +317,12 @@ class TestSweepJournal:
             def __reduce__(self):
                 return (fired.append, ("unpickled!",))
 
-        path = tmp_path / "j.jsonl"
-        payload = base64.b64encode(pickle.dumps(Payload())).decode()
-        # The pre-fix "tamper evidence": a digest anyone can recompute.
-        path.write_text(json.dumps({
-            "key": "k1",
-            "hmac": sha256(payload.encode()).hexdigest(),
-            "result": payload,
-        }) + "\n")
-        journal = SweepJournal(path)
-        journal.append("k2", "legit")  # creates the run's real secret
-        assert journal.load() == {"k2": "legit"}
-        assert journal.rejected_lines == 1
-        assert fired == []  # the forged payload was never deserialized
-
-    def test_secret_sidecar_is_private_and_stable(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        journal = SweepJournal(path)
-        journal.append("k1", "v")
-        key_path = journal.key_path
-        assert key_path.is_file()
-        assert (key_path.stat().st_mode & 0o777) == 0o600
-        # A second journal object reuses the same secret.
-        journal.append("k2", "w")
-        assert SweepJournal(path).load() == {"k1": "v", "k2": "w"}
+        DiskStageCache(tmp_path).derived_put("k1", ("fp", "grade"))
+        (tmp_path / FINALIZE_STAGE / "k1.pkl").write_bytes(
+            pickle.dumps(Payload())
+        )
+        fresh = DiskStageCache(tmp_path)
+        assert fresh._load(FINALIZE_STAGE, "k1") == (None, False)
+        assert fired == []
+        assert fresh.stats.integrity_failures == 1
+        assert len(fresh.quarantined()) == 1
