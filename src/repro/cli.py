@@ -83,9 +83,9 @@ def _add_observability_args(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _sweep_executor_parent() -> argparse.ArgumentParser:
-    """Parent parser: the sweep-executor flags shared by ``sweep`` and
-    ``attack`` (one definition, one help text, one validation path)."""
+def _executor_parent() -> argparse.ArgumentParser:
+    """Parent parser: the executor flags shared by ``sweep``, ``attack``
+    and ``serve`` (one definition, one help text, one validation path)."""
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument(
         "--jobs",
@@ -125,6 +125,14 @@ def _sweep_executor_parent() -> argparse.ArgumentParser:
         help="complete the grid around failed cells and report them, "
         "instead of aborting at the first failure",
     )
+    return parent
+
+
+def _sweep_executor_parent() -> argparse.ArgumentParser:
+    """Parent parser of ``sweep`` and ``attack``: the executor flags
+    plus resume, statistics, tracing and the run manifest (``serve``
+    writes per-job manifests and traces of its own)."""
+    parent = argparse.ArgumentParser(add_help=False, parents=[_executor_parent()])
     parent.add_argument(
         "--resume",
         action="store_true",
@@ -151,7 +159,8 @@ def _sweep_executor_parent() -> argparse.ArgumentParser:
 
 
 def _validate_executor_args(args):
-    """Validate the shared sweep-executor flags.
+    """Validate the shared executor flags (and ``--resume`` where the
+    command has it).
 
     Returns ``(cache_dir, retry)`` or ``None`` after printing a usage
     error (the caller exits 2).
@@ -167,7 +176,7 @@ def _validate_executor_args(args):
     if args.cell_timeout is not None and args.cell_timeout <= 0:
         print("--cell-timeout must be positive", file=sys.stderr)
         return None
-    if args.resume and args.cache_dir is None:
+    if getattr(args, "resume", False) and args.cache_dir is None:
         print("--resume requires --cache-dir", file=sys.stderr)
         return None
     retry = (
@@ -338,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="multi-tenant obfuscation job service (versioned /v1 "
         "HTTP/JSON API, one job per submission, concurrent cross-job "
         "fleet scheduling with node dedup and a warm worker pool)",
-        parents=[executor_parent],
+        parents=[_executor_parent()],
     )
     p.add_argument("--host", default="127.0.0.1", help="bind address")
     p.add_argument(

@@ -75,7 +75,12 @@ from repro.slicer.gcode import (
 from repro.slicer.seams import SeamReport, analyze_split_seam
 from repro.slicer.settings import SlicerSettings
 from repro.slicer.slicer import SliceResult, slice_mesh
-from repro.slicer.toolpath import generate_toolpaths
+from repro.slicer.toolpath import (
+    ToolpathStack,
+    generate_toolpaths,
+    pack_toolpaths,
+    unpack_toolpaths,
+)
 
 #: Clearance between the part and the plate origin, mm (legacy PrintJob).
 PLATE_MARGIN_MM = 10.0
@@ -99,8 +104,9 @@ class ChainArtifacts:
     resolve: Optional[TriangleMesh] = None
     orient: Optional[TriangleMesh] = None
     slice: Optional[SliceResult] = None
-    #: ``List[ToolpathLayer]`` - the slicer's per-layer path lists.
-    toolpath: Optional[list] = None
+    #: The slicer's tool paths, column-wise (a sequence of
+    #: ``ToolpathLayer`` views).
+    toolpath: Optional[ToolpathStack] = None
     gcode: Optional[GCodeProgram] = None
     firmware: Optional[FirmwareResult] = None
     deposit: Optional[PrintedArtifact] = None
@@ -291,7 +297,7 @@ class ProcessChain:
         mesh_c = ArtifactContract((TriangleMesh,))
         seam_c = ArtifactContract((SeamReport,), optional=True)
         slices_c = ArtifactContract((SliceResult,))
-        paths_c = ArtifactContract((list,))
+        paths_c = ArtifactContract((ToolpathStack,))
         return StageGraph((
             Stage(
                 "tessellate",
@@ -344,7 +350,11 @@ class ProcessChain:
                 "toolpath",
                 ("slice",),
                 _run_toolpath,
-                lambda ctx: settings_key,
+                # Codec tag: pickled ``ToolpathLayer`` lists of the
+                # earlier layout live under other keys.
+                lambda ctx: (settings_key, "columns"),
+                pack=pack_toolpaths,
+                unpack=unpack_toolpaths,
                 produces=paths_c,
                 expects={"slice": slices_c},
             ),

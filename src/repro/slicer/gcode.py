@@ -20,11 +20,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional
+from typing import Iterable, List, Optional, Union
 
 import numpy as np
 
-from repro.slicer.toolpath import Path, ToolMaterial, ToolpathLayer
+from repro.slicer.toolpath import (
+    TOOL_MATERIALS,
+    ToolMaterial,
+    ToolpathLayer,
+    ToolpathStack,
+)
 
 #: Extruded filament cross-section factor: E advance per mm of travel.
 _E_PER_MM = 0.033
@@ -193,17 +198,18 @@ def _running_e(d: np.ndarray) -> np.ndarray:
 
 
 def generate_gcode(
-    layers: Iterable[ToolpathLayer],
+    layers: Union[ToolpathStack, Iterable[ToolpathLayer]],
     travel_feedrate: float = 6000.0,
     print_feedrate: float = 2400.0,
 ) -> GCodeProgram:
-    """Emit G-code for a list of tool-path layers.
+    """Emit G-code for a :class:`ToolpathStack` (or a list of layers).
 
     Each path is a ``G0`` travel to its first point followed by one
     ``G1`` per remaining point (a closed path adds a move back to its
     first point); ``E`` is the running extruded length times
-    ``_E_PER_MM``.  The program is built column-first: one pass collects
-    every path's points, closure and tool, then all moves, step lengths
+    ``_E_PER_MM``.  The program is built column-first from the stack's
+    columns (a hand-built layer list goes through
+    :meth:`ToolpathStack.from_layers` first): all moves, step lengths
     and ``E`` values come from index arithmetic over the stacked points,
     every number word is formatted by one ``%``-template, and the
     :class:`MoveTable` parses those same words back with ``float`` - so
@@ -213,27 +219,15 @@ def generate_gcode(
     """
     travel = f"{travel_feedrate:.0f}"
     feed = f"{print_feedrate:.0f}"
-    zs: List[float] = []
-    paths_per_layer: List[int] = []
-    path_points: List[np.ndarray] = []
-    closed_flags: List[bool] = []
-    support_flags: List[bool] = []
-    for layer in layers:
-        zs.append(layer.z)
-        paths_per_layer.append(len(layer.paths))
-        for path in layer.paths:
-            path_points.append(path.points)
-            closed_flags.append(path.closed)
-            support_flags.append(path.material is not ToolMaterial.MODEL)
-
-    n_paths = np.array(paths_per_layer, dtype=np.intp)
-    tool = np.array(support_flags, dtype=np.int8)
-    n_pts = np.fromiter(map(len, path_points), dtype=np.intp, count=len(path_points))
-    pts = np.concatenate(path_points) if path_points else np.empty((0, 2))
+    stack = ToolpathStack.from_layers(layers)
+    n_paths = stack.n_paths
+    tool = (stack.material != TOOL_MATERIALS.index(ToolMaterial.MODEL)).astype(np.int8)
+    n_pts = stack.n_points
+    pts = stack.points
 
     # G1 moves: path i visits points 1..k-1 and, when closed, 0 again;
     # move t of the path goes from local point t to (t + 1) % k.
-    n_moves = n_pts - 1 + np.array(closed_flags, dtype=np.intp)
+    n_moves = n_pts - 1 + stack.closed.astype(np.intp)
     move_path = np.repeat(np.arange(len(n_pts)), n_moves)
     pt_start = np.cumsum(n_pts) - n_pts
     local = np.arange(len(move_path)) - (np.cumsum(n_moves) - n_moves)[move_path]
@@ -262,7 +256,7 @@ def generate_gcode(
     n_words = _N_WORDS[kinds]
     word_pos = np.cumsum(n_words) - n_words
     words = np.empty(int(n_words.sum()))
-    layer_z = np.asarray(zs, dtype=np.float64)
+    layer_z = stack.z
     words[word_pos[layer_pos]] = layer_z
     words[word_pos[layer_pos] + 1] = layer_z
     words[word_pos[travel_pos]] = pts[pt_start, 0]

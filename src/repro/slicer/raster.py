@@ -1,30 +1,41 @@
-"""Batched even-odd rasterization: the vectorized scanline kernel.
+"""Batched even-odd rasterization: the sparse scanline kernel.
 
 The scalar rasterizer (`region_spans` in :mod:`repro.slicer.toolpath`,
 the per-scanline loop it drove in :mod:`repro.slicer.preview`) walked
 every scanline in Python, recomputing each contour's edge crossings one
-``y`` at a time.  Profiling the counterfeiter grid search shows that
-loop *is* the deposit hot path: ~75% of a chain run was spent producing
+``y`` at a time.  Profiling the counterfeiter grid search showed that
+loop *was* the deposit hot path: ~75% of a chain run was spent producing
 crossings scanline-by-scanline.
 
-This module computes all contour-edge x scanline crossings in one
-broadcast NumPy pass and paints the even-odd parity spans straight into
-row-packed bytes (whole bytes from a byte-level difference array, head
-and tail bytes by bit mask), so a whole layer - or a whole layer
-*stack* - rasterizes in a handful of array operations.  The kernel is
-bit-identical to the scalar path by construction:
+This module finds every contour-edge x scanline crossing in one pass
+and paints the even-odd parity spans straight into row-packed bytes
+(whole bytes from a byte-level difference array, head and tail bytes by
+bit mask), so a whole layer *stack* rasterizes in a handful of array
+operations.  The crossings are sparse: each edge takes its run of
+scanlines by ``searchsorted`` over the ascending heights
+(:func:`scanline_ranges`) and only those crossings are expanded
+(:func:`crossings_in_ranges`), so the work grows with the number of
+crossings, not with scanlines x edges.  The deposit raster
+(:func:`rasterize_stack`) and the tool-path infill
+(:func:`repro.slicer.toolpath.generate_toolpaths`, one call over every
+layer's own scanlines) share that kernel and the even-odd pairing.  It
+is bit-identical to the scalar path by construction:
 
+* an edge crosses ``y`` iff exactly one endpoint has ``end_y > y``,
+  i.e. iff ``min_y <= y < max_y`` - the same half-open rule, so a
+  vertex lying exactly on a scanline counts once;
 * crossings use the same per-edge expression
   ``px + (y - py) / (qy - py) * (qx - px)`` (IEEE ops are elementwise,
-  so broadcasting cannot change a single bit of any crossing);
+  so batching cannot change a single bit of any crossing);
 * crossings are sorted per scanline and paired in even-odd order, and
   pairs no wider than the same ``1e-9`` epsilon are dropped;
 * span endpoints map to cells with the same ``floor``/``ceil`` snapping
   and the same out-of-frame clipping, and overlapping spans union.
 
 The scalar implementations are retained (`region_spans` stays the
-public single-``y`` API; the tests use both as reference oracles, and
-keep the boolean difference-array fill as the packed fill's oracle).
+public single-``y`` API); the tests keep them, the dense
+(scanlines x edges) crossing matrix and the boolean difference-array
+fill as reference oracles.
 """
 
 from __future__ import annotations
@@ -52,6 +63,46 @@ def contour_edges(contours) -> Tuple[np.ndarray, np.ndarray]:
     return np.vstack(ps), np.vstack(qs)
 
 
+def scanline_ranges(
+    p: np.ndarray, q: np.ndarray, ys: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Each edge's half-open run ``[start, stop)`` of ascending ``ys``.
+
+    Edge ``(p, q)`` crosses scanline ``y`` iff exactly one endpoint
+    satisfies ``end_y > y``, i.e. iff ``min_y <= y < max_y``; over
+    ascending ``ys`` those scanlines are the run between the left
+    ``searchsorted`` positions of ``min_y`` and ``max_y``.
+    """
+    py, qy = p[:, 1], q[:, 1]
+    start = np.searchsorted(ys, np.minimum(py, qy), side="left")
+    stop = np.searchsorted(ys, np.maximum(py, qy), side="left")
+    return start, stop
+
+
+def crossings_in_ranges(
+    p: np.ndarray,
+    q: np.ndarray,
+    ys: np.ndarray,
+    start: np.ndarray,
+    stop: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Expand per-edge scanline runs into ``(rows, cols, xs)`` crossings.
+
+    Edge ``j`` crosses rows ``start[j] .. stop[j] - 1`` of ``ys``; the
+    crossings come out edge by edge, rows ascending within an edge, and
+    each x is ``px + (y - py) / (qy - py) * (qx - px)``.  The work is
+    proportional to the number of crossings.
+    """
+    count = stop - start
+    cols = np.repeat(np.arange(p.shape[0]), count)
+    first = np.cumsum(count) - count
+    rows = np.arange(cols.size) + np.repeat(start - first, count)
+    py, qy = p[cols, 1], q[cols, 1]
+    px, qx = p[cols, 0], q[cols, 0]
+    xs = px + (ys[rows] - py) / (qy - py) * (qx - px)
+    return rows, cols, xs
+
+
 def edge_crossings(
     p: np.ndarray, q: np.ndarray, ys: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -61,18 +112,22 @@ def edge_crossings(
     into ``ys``, the edge index, and the crossing x.  An edge crosses
     scanline ``y`` iff exactly one endpoint satisfies ``end_y > y`` -
     the same half-open rule as the scalar path, which makes vertices
-    lying exactly on a scanline count once, not twice.
+    lying exactly on a scanline count once, not twice.  Crossings are
+    grouped by edge (callers pair them per row, which sorts them).
+    ``ys`` need not be sorted: unsorted heights are searched in sorted
+    order and the rows mapped back.
     """
     ys = np.asarray(ys, dtype=float)
     if p.shape[0] == 0 or ys.shape[0] == 0:
         z = np.empty(0, dtype=np.intp)
         return z, z.copy(), np.empty(0, dtype=float)
-    above_p = p[:, 1][None, :] > ys[:, None]  # (n_scanlines, n_edges)
-    above_q = q[:, 1][None, :] > ys[:, None]
-    rows, cols = np.nonzero(above_p != above_q)
-    py, qy = p[cols, 1], q[cols, 1]
-    px, qx = p[cols, 0], q[cols, 0]
-    xs = px + (ys[rows] - py) / (qy - py) * (qx - px)
+    order = None
+    if not np.all(ys[1:] >= ys[:-1]):
+        order = np.argsort(ys, kind="stable")
+        ys = ys[order]
+    rows, cols, xs = crossings_in_ranges(p, q, ys, *scanline_ranges(p, q, ys))
+    if order is not None:
+        rows = order[rows]
     return rows, cols, xs
 
 
@@ -208,14 +263,6 @@ def rasterize_frame(
     return np.unpackbits(packed, axis=-1, count=nx).view(bool)
 
 
-#: Soft cap on the broadcast (n_scanlines x n_edges) crossing matrix,
-#: in elements; stacks whose matrix would exceed it are processed in
-#: layer chunks so memory stays bounded on very tall prints.  Kept a
-#: few MB so the temporaries recycle through the allocator's arena
-#: instead of round-tripping fresh mmaps on every chunk.
-_MAX_BROADCAST_ELEMENTS = 4_000_000
-
-
 def rasterize_stack(
     layer_contours: Sequence, lo: np.ndarray, nx: int, ny: int, cell: float
 ) -> np.ndarray:
@@ -232,7 +279,6 @@ def rasterize_stack(
     """
     nz = len(layer_contours)
     nb = (nx + 7) // 8
-    packed = np.zeros((nz * ny, nb), dtype=np.uint8)
     ys = lo[1] + (np.arange(ny, dtype=float) + 0.5) * cell
 
     # Per-layer edge arrays plus the owning layer of every edge.
@@ -244,28 +290,13 @@ def rasterize_stack(
         ps.append(p)
         qs.append(q)
         owners.append(np.full(p.shape[0], iz, dtype=np.intp))
+    if not ps:
+        return np.zeros((nz, ny, nb), dtype=np.uint8)
 
-    x0 = float(lo[0])
-    edge_budget = max(int(_MAX_BROADCAST_ELEMENTS // max(ny, 1)), 1)
-    # Chunk at *layer* granularity: even-odd pairing needs every
-    # crossing of a scanline row present at once, and rows never span
-    # layers, so whole-layer groups keep the parity fill exact.
-    start = 0
-    while start < len(ps):
-        stop, edges = start, 0
-        while stop < len(ps) and (edges == 0 or edges + ps[stop].shape[0] <= edge_budget):
-            edges += ps[stop].shape[0]
-            stop += 1
-        p_all = np.vstack(ps[start:stop])
-        q_all = np.vstack(qs[start:stop])
-        owner_all = np.concatenate(owners[start:stop])
-        base = int(owner_all[0])
-        n_chunk_rows = (int(owner_all[-1]) + 1 - base) * ny
-        rows, cols, xs = edge_crossings(p_all, q_all, ys)
-        flat_rows = (owner_all[cols] - base) * ny + rows
-        span_rows, x_in, x_out = _pair_crossings(flat_rows, xs, n_chunk_rows)
-        packed[base * ny : base * ny + n_chunk_rows] = fill_spans_packed(
-            span_rows, x_in, x_out, x0, nx, cell, n_chunk_rows
-        )
-        start = stop
+    rows, cols, xs = edge_crossings(np.vstack(ps), np.vstack(qs), ys)
+    flat_rows = np.concatenate(owners)[cols] * ny + rows
+    span_rows, x_in, x_out = _pair_crossings(flat_rows, xs, nz * ny)
+    packed = fill_spans_packed(
+        span_rows, x_in, x_out, float(lo[0]), nx, cell, nz * ny
+    )
     return packed.reshape(nz, ny, nb)

@@ -127,6 +127,30 @@ class TestInfoCommands:
             main(["frobnicate"])
 
 
+class TestServeFlags:
+    """``serve`` takes only the executor flags it reads."""
+
+    @pytest.mark.parametrize(
+        "flag",
+        [["--resume"], ["--stats"], ["--trace", "t.jsonl"],
+         ["--trace-chrome", "t.json"], ["--metrics"], ["--manifest", "m.json"]],
+        ids=lambda f: f[0],
+    )
+    def test_sweep_only_flags_rejected(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_sweep_keeps_them(self):
+        from repro.cli import build_parser
+
+        args = build_parser().parse_args(
+            ["sweep", "--resume", "--stats", "--metrics", "--manifest", "m.json"]
+        )
+        assert args.resume and args.stats and args.metrics
+
+
 class TestReverse:
     def test_reverse_gcode(self, tmp_path, capsys, intact_bar):
         from repro.cad import FINE

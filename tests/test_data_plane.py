@@ -22,6 +22,16 @@ from repro.obfuscade.quality import assess_print
 from repro.pipeline import DiskStageCache, ParallelSweep, ROOTS_STAGE
 from repro.pipeline import payload
 from repro.printer.orientation import PrintOrientation
+from repro.slicer.gcode import generate_gcode
+from repro.slicer.slicer import slice_mesh
+from repro.slicer.toolpath import (
+    ToolpathStack,
+    generate_toolpaths,
+    pack_toolpaths,
+    unpack_toolpaths,
+)
+
+from conftest import placed_mesh
 
 chaos = pytest.mark.skipif(
     os.environ.get("OBFUSCADE_FAULTS") != "1",
@@ -172,6 +182,64 @@ class TestSegmentedDiskLayout:
         _, hit = fresh.get_or_run("deposit", "k1", _grid_value)
         assert not hit
         assert fresh.stats.integrity_failures == 1
+
+
+class TestToolpathSegments:
+    """The toolpath stage's columns as verified, mmapped segments."""
+
+    @pytest.fixture(scope="class")
+    def compute(self):
+        from repro.pipeline.chain import ProcessChain
+
+        settings = ProcessChain().settings
+        model = Obfuscator(seed=7).protect_tensile_bar().model
+        slices = slice_mesh(placed_mesh(model, COARSE, PrintOrientation.XY), settings)
+        return lambda: generate_toolpaths(slices, settings)
+
+    @staticmethod
+    def _get(cache, compute):
+        return cache.get_or_run(
+            "toolpath", "k1", compute, pack=pack_toolpaths, unpack=unpack_toolpaths
+        )
+
+    def test_fresh_instance_maps_the_stack(self, tmp_path, compute):
+        stack, hit = self._get(DiskStageCache(tmp_path), compute)
+        assert not hit
+        warm = DiskStageCache(tmp_path)
+        loaded, hit = self._get(warm, compute)
+        assert hit and isinstance(loaded, ToolpathStack)
+        # The columns are read-only views of the mapped segments.
+        assert not loaded.points.flags.owndata
+        assert not loaded.points.flags.writeable
+        assert warm.stats.zero_copy_hits == 1
+        assert warm.stats.mmap_bytes >= loaded.points.nbytes
+        assert generate_gcode(loaded).text == generate_gcode(stack).text
+
+    def test_flipped_segment_byte_is_quarantined(self, tmp_path, compute):
+        stack, _ = self._get(DiskStageCache(tmp_path), compute)
+        segments = sorted((tmp_path / "toolpath").glob("k1.seg*.npy"))
+        assert segments
+        seg = max(segments, key=lambda p: p.stat().st_size)  # the points
+        data = bytearray(seg.read_bytes())
+        data[len(data) // 2] ^= 0x01
+        seg.write_bytes(bytes(data))
+
+        fresh = DiskStageCache(tmp_path)
+        again, hit = self._get(fresh, compute)
+        assert not hit
+        assert fresh.stats.integrity_failures == 1
+        assert any(
+            q.name.endswith(".npy")
+            for q in (tmp_path / "quarantine").glob("toolpath-k1.*")
+        )
+        assert generate_gcode(again).text == generate_gcode(stack).text
+
+    def test_stage_key_carries_the_codec_tag(self):
+        from repro.pipeline.chain import ProcessChain
+
+        stage = ProcessChain().graph.by_name["toolpath"]
+        assert stage.pack is pack_toolpaths and stage.unpack is unpack_toolpaths
+        assert stage.key(None)[-1] == "columns"
 
 
 class TestSharedRoots:

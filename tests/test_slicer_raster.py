@@ -11,6 +11,9 @@ same cell snapping.  Every test here holds the vectorized path equal -
   :func:`rasterize_stack` vs. the boolean difference-array fill it
   replaced (:func:`fill_spans_reference`, kept here as the oracle);
 * :func:`rasterize_stack` vs. per-layer :func:`rasterize_frame`;
+* the sparse, ``searchsorted``-ranged :func:`edge_crossings` vs. the
+  dense (scanlines x edges) matrix it replaced
+  (:func:`edge_crossings_dense`, kept here as the oracle);
 * the shift-kernel bead-merge morphology vs. scipy's
   ``binary_closing`` / ``binary_fill_holes``;
 * :func:`repro.slicer.slicer._plane_segments` vs. per-triangle
@@ -31,7 +34,6 @@ from repro.printer.deposition import (
     _fill_holes_stack,
     _unique_layers,
 )
-from repro.slicer import raster
 from repro.slicer.preview import (
     rasterize_contours,
     rasterize_contours_reference,
@@ -100,11 +102,30 @@ def fill_spans_reference(span_rows, x_in, x_out, x0, nx, cell, n_rows):
     return grid
 
 
+def edge_crossings_dense(p, q, ys):
+    """The dense crossing kernel the sparse one replaced (the oracle).
+
+    Builds the full (n_scanlines, n_edges) matrix of the half-open rule
+    ``(py > y) != (qy > y)`` and returns its crossings row-major.
+    """
+    ys = np.asarray(ys, dtype=float)
+    if p.shape[0] == 0 or ys.shape[0] == 0:
+        z = np.empty(0, dtype=np.intp)
+        return z, z.copy(), np.empty(0, dtype=float)
+    above_p = p[:, 1][None, :] > ys[:, None]
+    above_q = q[:, 1][None, :] > ys[:, None]
+    rows, cols = np.nonzero(above_p != above_q)
+    py, qy = p[cols, 1], q[cols, 1]
+    px, qx = p[cols, 0], q[cols, 0]
+    xs = px + (ys[rows] - py) / (qy - py) * (qx - px)
+    return rows, cols, xs
+
+
 def frame_reference(contours, lo, nx, ny, cell):
-    """One layer through the batched crossings and the boolean fill."""
+    """One layer through the dense crossings and the boolean fill."""
     ys = lo[1] + (np.arange(ny, dtype=float) + 0.5) * cell
     p, q = contour_edges(contours)
-    rows, _, xs = edge_crossings(p, q, ys)
+    rows, _, xs = edge_crossings_dense(p, q, ys)
     span_rows, x_in, x_out = _pair_crossings(rows, xs, ny)
     return fill_spans_reference(
         span_rows, x_in, x_out, float(lo[0]), nx, cell, ny
@@ -336,6 +357,95 @@ class TestScanlineSpansBatch:
         assert scanline_spans_batch([rect(0, 0, 1, 1)], []) == []
 
 
+def row_major(rows, cols, xs):
+    """Crossings sorted by (row, edge), the dense kernel's order."""
+    order = np.lexsort((cols, rows))
+    return rows[order], cols[order], xs[order]
+
+
+def assert_crossings_match(p, q, ys):
+    got = row_major(*edge_crossings(p, q, ys))
+    want = edge_crossings_dense(p, q, ys)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+    return got
+
+
+#: Scanline heights and vertex coordinates on a coarse lattice, so that
+#: vertices land exactly on scanlines and edges run horizontal.
+lattice = st.integers(-8, 8).map(lambda k: k * 0.5)
+free_y = st.floats(-5.0, 5.0, allow_nan=False)
+
+
+class TestSparseCrossings:
+    """Sparse edge_crossings == the dense matrix oracle, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.one_of(lattice, free_y), st.one_of(lattice, free_y),
+                      st.one_of(lattice, free_y), st.one_of(lattice, free_y)),
+            max_size=12,
+        ),
+        st.lists(st.one_of(lattice, free_y), max_size=12),
+        st.booleans(),
+    )
+    def test_random_edges_and_scanlines(self, edges, ys, ascending):
+        """Any edges; sorted or unsorted (duplicated) scanlines."""
+        p = np.array([(a, b) for a, b, _, _ in edges], dtype=float).reshape(-1, 2)
+        q = np.array([(c, d) for _, _, c, d in edges], dtype=float).reshape(-1, 2)
+        ys = np.array(sorted(ys) if ascending else ys, dtype=float)
+        assert_crossings_match(p, q, ys)
+
+    def test_vertex_on_scanline_counts_once(self):
+        # A diamond whose side vertices sit exactly on y = 0.
+        pts = np.array([[0.0, -1.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
+        p, q = pts, np.roll(pts, -1, axis=0)
+        rows, _, xs = assert_crossings_match(p, q, np.array([-1.0, 0.0, 1.0]))
+        assert rows.tolist() == [0, 0, 1, 1]
+        assert sorted(xs[rows == 1].tolist()) == [-1.0, 1.0]
+
+    def test_horizontal_edges_never_cross(self):
+        p = np.array([[0.0, 1.0], [2.0, 3.0]])
+        q = np.array([[5.0, 1.0], [-2.0, 3.0]])
+        rows, _, _ = assert_crossings_match(p, q, np.array([0.5, 1.0, 3.0]))
+        assert rows.size == 0
+
+    def test_edges_ending_on_first_and_last_scanline(self):
+        ys = np.array([0.0, 0.5, 1.0, 1.5])
+        p = np.array([[0.0, 0.0], [1.0, 1.5], [2.0, -1.0], [3.0, 1.5]])
+        q = np.array([[0.0, 1.5], [1.0, 0.0], [2.0, 0.0], [3.0, 9.0]])
+        rows, cols, _ = assert_crossings_match(p, q, ys)
+        # [min_y, max_y): a bottom end on a scanline crosses it, a top
+        # end does not.
+        assert rows[cols == 0].tolist() == [0, 1, 2]
+        assert rows[cols == 2].tolist() == []
+        assert rows[cols == 3].tolist() == [3]
+
+    def test_unsorted_scanlines_keep_their_indices(self):
+        p = np.array([[0.0, -1.0]])
+        q = np.array([[2.0, 1.0]])
+        ys = np.array([0.5, -0.5, 0.0, 0.5])
+        rows, _, xs = assert_crossings_match(p, q, ys)
+        assert rows.tolist() == [0, 1, 2, 3]
+        assert xs.tolist() == [1.5, 0.5, 1.0, 1.5]
+
+    def test_empty_inputs(self):
+        none = np.empty((0, 2))
+        assert_crossings_match(none, none, np.array([0.0, 1.0]))
+        one = np.array([[0.0, 0.0]])
+        assert_crossings_match(one, one + 1.0, np.array([]))
+
+    def test_real_print_layers(self, split_coarse_xy):
+        artifact = split_coarse_xy.artifact
+        _, ny, _ = artifact.shape
+        ys = artifact.origin[1] + (np.arange(ny, dtype=float) + 0.5) * artifact.cell_mm
+        for layer in split_coarse_xy.slices.layers[::5]:
+            p, q = contour_edges(layer.contours)
+            assert_crossings_match(p, q, ys)
+            assert_crossings_match(p, q, ys[::-1])
+
+
 class TestRasterizeStack:
     """rasterize_stack == packing rasterize_frame layer by layer.
 
@@ -370,14 +480,6 @@ class TestRasterizeStack:
         assert np.array_equal(
             stack, stack_reference(self._layers(), lo, nx, ny, cell)
         )
-
-    def test_chunked_equals_unchunked(self, monkeypatch):
-        """A tiny broadcast budget forces per-layer chunks; same bits."""
-        lo = np.array([-1.0, -1.0])
-        full = rasterize_stack(self._layers(), lo, 20, 16, 0.5)
-        monkeypatch.setattr(raster, "_MAX_BROADCAST_ELEMENTS", 1)
-        chunked = rasterize_stack(self._layers(), lo, 20, 16, 0.5)
-        assert np.array_equal(full, chunked)
 
     def test_real_print_stack(self, split_coarse_xy):
         artifact = split_coarse_xy.artifact
