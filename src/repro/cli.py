@@ -495,57 +495,14 @@ def _cmd_inspect(args) -> int:
 
 
 def _cmd_attack(args) -> int:
-    from repro.obfuscade.attack import CounterfeiterSimulator
-    from repro.obfuscade.obfuscator import Obfuscator
-    from repro.pipeline import SweepAborted
-
     validated = _validate_executor_args(args)
     if validated is None:
         return 2
-    cache_dir, retry = validated
-
-    protected = Obfuscator(seed=args.seed).protect_tensile_bar()
-    print(f"attacking: {protected.describe()}")
-    sim = CounterfeiterSimulator(
-        jobs=args.jobs,
-        cache_dir=cache_dir,
-        retry=retry,
-        cell_timeout_s=args.cell_timeout,
-        keep_going=args.keep_going,
-        resume=args.resume,
-    )
-    tracer = _install_observability(args)
-    try:
-        result = sim.attack(protected)
-    except SweepAborted as exc:
-        print(f"attack aborted: {exc}", file=sys.stderr)
-        print("(re-run with --keep-going to complete around failed cells)",
-              file=sys.stderr)
-        return 3
-    finally:
-        spans = _finish_observability(args, tracer)
-    for resolution, orientation, grade, score, matches in result.summary_rows():
-        marker = " <-- key" if matches else ""
-        print(f"  {resolution:8s} {orientation:5s} {grade:20s} {score:5.2f}{marker}")
-    for err in result.failed:
-        where = f" in stage {err.stage!r}" if err.stage else ""
-        print(f"  {err.resolution:8s} {err.orientation:5s} FAILED "
-              f"[{err.error_type}]{where} after {err.attempts} attempt(s)")
-    print(f"genuine only under the key: {result.key_only_success}")
-    _write_sweep_manifest(
-        args, "attack", result, protected, sim.resolutions,
-        sim.orientations, spans, tracer,
-    )
-    _print_executor_stats(args, result, tracer)
-    if result.failed:
-        return 1
-    return 0 if result.key_only_success else 1
+    return _run_counterfeiter(args, "attack", "attacking", validated)
 
 
 def _cmd_sweep(args) -> int:
-    from repro.obfuscade.attack import CounterfeiterSimulator
-    from repro.obfuscade.obfuscator import Obfuscator
-    from repro.pipeline import ProcessChain, SweepAborted
+    from repro.pipeline import ProcessChain
 
     try:
         resolutions = [
@@ -568,35 +525,53 @@ def _cmd_sweep(args) -> int:
     validated = _validate_executor_args(args)
     if validated is None:
         return 2
-    cache_dir, retry = validated
-
-    protected = Obfuscator(seed=args.seed).protect_tensile_bar()
-    print(f"sweeping: {protected.describe()}")
-    sim = CounterfeiterSimulator(
+    return _run_counterfeiter(
+        args, "sweep", "sweeping", validated,
+        extra_config={"machine": args.machine},
         resolutions=resolutions,
         orientations=orientations,
         chain=ProcessChain(machine=_MACHINES[args.machine]),
+    )
+
+
+def _run_counterfeiter(
+    args, command, verb, validated, extra_config=None, **grid
+) -> int:
+    """The body ``attack`` and ``sweep`` share: run the counterfeiter
+    over the protected bar, print its rows and failures, then write the
+    manifest and stats.  ``grid`` overrides the simulator's default
+    resolutions, orientations and chain."""
+    from repro.obfuscade.attack import CounterfeiterSimulator
+    from repro.obfuscade.obfuscator import Obfuscator
+    from repro.pipeline import SweepAborted
+
+    cache_dir, retry = validated
+    protected = Obfuscator(seed=args.seed).protect_tensile_bar()
+    print(f"{verb}: {protected.describe()}")
+    sim = CounterfeiterSimulator(
         jobs=args.jobs,
         cache_dir=cache_dir,
         retry=retry,
         cell_timeout_s=args.cell_timeout,
         keep_going=args.keep_going,
         resume=args.resume,
+        **grid,
     )
     tracer = _install_observability(args)
     try:
         result = sim.attack(protected)
     except SweepAborted as exc:
-        print(f"sweep aborted: {exc}", file=sys.stderr)
+        print(f"{command} aborted: {exc}", file=sys.stderr)
         print("(re-run with --keep-going to complete around failed cells)",
               file=sys.stderr)
         return 3
     finally:
         spans = _finish_observability(args, tracer)
-    n_cells = len(resolutions) * len(orientations)
-    print(f"grid: {len(resolutions)} resolutions x {len(orientations)} "
-          f"orientations = {n_cells} cells"
-          + (f"  (jobs={args.jobs})" if args.jobs > 1 else ""))
+    if command == "sweep":
+        n_res, n_orient = len(sim.resolutions), len(sim.orientations)
+        print(f"grid: {n_res} resolutions x {n_orient} "
+              f"orientations = {n_res * n_orient} cells"
+              + (f"  (jobs={args.jobs})" if args.jobs > 1 else ""))
     for resolution, orientation, grade, score, matches in result.summary_rows():
         marker = " <-- key" if matches else ""
         print(f"  {resolution:8s} {orientation:5s} {grade:20s} {score:5.2f}{marker}")
@@ -606,8 +581,8 @@ def _cmd_sweep(args) -> int:
               f"[{err.error_type}]{where} after {err.attempts} attempt(s)")
     print(f"genuine only under the key: {result.key_only_success}")
     _write_sweep_manifest(
-        args, "sweep", result, protected, resolutions, orientations,
-        spans, tracer, extra_config={"machine": args.machine},
+        args, command, result, protected, sim.resolutions,
+        sim.orientations, spans, tracer, extra_config=extra_config,
     )
     _print_executor_stats(args, result, tracer)
     if result.failed:

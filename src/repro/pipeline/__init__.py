@@ -2,12 +2,12 @@
 
 The substrate behind :class:`~repro.printer.job.PrintJob`, the
 counterfeiter grid search and the ``sweep`` CLI: the paper's Fig. 1
-chain decomposed into pure, individually cached stages, declared as a
-typed :class:`StageGraph` (artifact contracts, explicit dependencies)
-and executed - for sweeps - by the one :class:`FleetScheduler`, which
-merges every grid cell of every admitted job into one
-``(stage, content digest)`` node set so shared upstream nodes run
-exactly once.  A :class:`ParallelSweep` is a fleet of one job.
+chain decomposed into pure, individually cached stages, declared as one
+tuple in execution order (:attr:`ProcessChain.stages`), and executed -
+for sweeps - by the one :class:`FleetScheduler`, which merges every
+grid cell of every admitted job into one ``(stage, content digest)``
+node set so shared upstream nodes run exactly once.  A
+:class:`ParallelSweep` is a fleet of one job.
 
 Note the name collision with :class:`repro.supplychain.chain.ProcessChain`
 (the Fig. 1 *risk ledger* walkthrough): that class narrates the chain
@@ -25,7 +25,7 @@ from repro.pipeline.cache import (
 from repro.pipeline.chain import ChainArtifacts, ChainContext, ProcessChain
 from repro.pipeline.disk import ROOTS_STAGE, DiskStageCache
 from repro.pipeline.fleet import FleetJob, FleetScheduler
-from repro.pipeline.graph import SchedulerStats, StageGraph, StageGraphError
+from repro.pipeline.graph import SchedulerStats
 from repro.pipeline.parallel import (
     ParallelSweep,
     SweepAborted,
@@ -50,10 +50,9 @@ from repro.pipeline.resilience import (
     time_limit,
 )
 from repro.pipeline.scheduler import ChainConfig, WorkerPool
-from repro.pipeline.stage import ArtifactContract, Stage, StageExecution
+from repro.pipeline.stage import Stage, StageExecution
 
 __all__ = [
-    "ArtifactContract",
     "CacheIntegrityError",
     "CacheStats",
     "CellTimeout",
@@ -76,8 +75,6 @@ __all__ = [
     "StageCache",
     "StageError",
     "StageExecution",
-    "StageGraph",
-    "StageGraphError",
     "StageStats",
     "SweepAborted",
     "SweepCellError",

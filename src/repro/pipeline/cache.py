@@ -258,6 +258,9 @@ class StageCache:
         self._decoded: "OrderedDict[str, Any]" = OrderedDict()
         self._derived: "OrderedDict[str, Any]" = OrderedDict()
         self.stats = CacheStats()
+        #: Per-stage count of hits served by :meth:`_load`'s slower
+        #: tier rather than memory (always empty without one).
+        self.disk_hits: Dict[str, int] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -340,6 +343,17 @@ class StageCache:
             return self._decode(key, stored, unpack), True
         return None, False
 
+    # -- slower tier (none here; see DiskStageCache) -----------------------
+
+    def _load(self, stage_name: str, key: str) -> Tuple[Any, bool]:
+        """``(stored, found)`` from the tier behind memory."""
+        return None, False
+
+    def _store(self, stage_name: str, key: str, value: Any) -> bool:
+        """Persist a stored entry to the tier behind memory; returns
+        whether it was persisted."""
+        return False
+
     def get_or_run(
         self,
         stage_name: str,
@@ -350,13 +364,16 @@ class StageCache:
     ) -> Tuple[Any, bool]:
         """Return ``(artifact, was_hit)`` for one stage execution.
 
-        On a miss, ``fn`` runs and its wall time is charged to the
-        stage; on a hit the stage's mean miss time is credited to
-        ``saved_s`` as the estimate of compute avoided.
+        Lookups go memory, then :meth:`_load`, then compute.  On a
+        miss, ``fn`` runs, its wall time is charged to the stage and
+        the entry goes to memory and :meth:`_store`; on a hit the
+        stage's mean miss time is credited to ``saved_s`` as the
+        estimate of compute avoided.
 
         ``pack``/``unpack`` (see :class:`~repro.pipeline.stage.Stage`)
-        encode the artifact for storage and restore it on hits; the
-        freshly computed value is always returned as-is.
+        encode the artifact for storage and restore it on hits; every
+        tier holds the packed form, and the freshly computed value is
+        always returned as-is.
         """
         stats = self.stats.stage(stage_name)
         with obs.span("cache.get", stage=stage_name, key=key[:12]):
@@ -368,6 +385,15 @@ class StageCache:
                 obs.annotate(hit=True, tier="memory")
                 stored = self._entries[key]
                 return self._decode(key, stored, unpack), True
+            stored, found = self._load(stage_name, key)
+            if found:
+                stats.hits += 1
+                self.disk_hits[stage_name] = self.disk_hits.get(stage_name, 0) + 1
+                if stats.misses:
+                    stats.saved_s += stats.run_s / stats.misses
+                obs.annotate(hit=True, tier="disk")
+                self._entries[key] = stored
+                return self._decode(key, stored, unpack), True
 
             start = time.perf_counter()
             value = fn()
@@ -375,9 +401,11 @@ class StageCache:
             stats.run_s += elapsed
             stats.misses += 1
             obs.annotate(hit=False, tier="compute", run_s=elapsed)
-            self._entries[key] = pack(value) if pack is not None else value
+            stored = pack(value) if pack is not None else value
+            self._entries[key] = stored
             if pack is not None:
                 self._remember_decoded(key, value)
+            self._store(stage_name, key, stored)
             return value, False
 
 

@@ -3,8 +3,10 @@
 Legacy :class:`~repro.printer.job.PrintJob` hard-wired the chain
 CAD -> STL -> slice -> toolpath -> G-code -> deposit -> inspect inside
 one method, so every consumer re-ran everything from scratch.  Here the
-chain is a graph of :class:`~repro.pipeline.stage.Stage` objects
-executed through a content-addressed :class:`~repro.pipeline.cache.StageCache`:
+chain is one tuple of :class:`~repro.pipeline.stage.Stage` objects,
+declared in execution order (:attr:`ProcessChain.stages`; each stage's
+inputs are the ``"model"`` root or earlier stages), and executed
+through a content-addressed :class:`~repro.pipeline.cache.StageCache`:
 
 ``tessellate``
     model content hash x STL resolution -> :class:`StlExport`.
@@ -53,8 +55,8 @@ from repro.mesh.validate import (
     validate_mesh,
 )
 from repro.pipeline.cache import CacheStats, StageCache
-from repro.pipeline.graph import StageGraph, run_stage
-from repro.pipeline.stage import ArtifactContract, Stage, StageExecution
+from repro.pipeline.graph import node_digest, run_stage
+from repro.pipeline.stage import Stage, StageExecution
 from repro.printer.artifact import (
     PrintedArtifact,
     pack_artifact,
@@ -136,6 +138,23 @@ class ChainContext:
 
     def artifact(self, name: str) -> Any:
         return self.artifacts.get(name)
+
+    def outcome(self, stage_log: Tuple = ()) -> PrintOutcome:
+        """The :class:`~repro.printer.job.PrintOutcome` assembled from
+        this run's artifacts."""
+        a = self.artifacts
+        return PrintOutcome(
+            artifact=a.deposit,
+            export=a.tessellate,
+            slices=a.slice,
+            gcode=a.gcode,
+            firmware=a.firmware,
+            seam=a.seam,
+            orientation=self.orientation,
+            resolution=self.resolution,
+            geometry=a.validate,
+            stage_log=stage_log,
+        )
 
 
 def _resolution_key(resolution: StlResolution) -> tuple:
@@ -282,69 +301,53 @@ class ProcessChain:
         self.settings = self.simulator.settings
         self.plate_margin_mm = plate_margin_mm
         self.cache = cache if cache is not None else StageCache()
-        #: The validated stage graph; construction rejects cycles,
-        #: dangling dependencies and artifact-contract mismatches.
-        self.graph: StageGraph = self._build_graph()
-        self.stages: Tuple[Stage, ...] = self.graph.stages
+        #: The chain, in execution order: every stage's inputs are the
+        #: ``"model"`` root or stages declared before it.
+        self.stages: Tuple[Stage, ...] = self._build_stages()
+        self.by_name: Dict[str, Stage] = {s.name: s for s in self.stages}
 
-    # -- graph ---------------------------------------------------------------
+    # -- stages --------------------------------------------------------------
 
-    def _build_graph(self) -> StageGraph:
+    def _build_stages(self) -> Tuple[Stage, ...]:
         settings_key = _settings_key(self.settings)
         machine_key = _machine_key(self.machine)
         margin = self.plate_margin_mm
-        export_c = ArtifactContract((StlExport,))
-        mesh_c = ArtifactContract((TriangleMesh,))
-        seam_c = ArtifactContract((SeamReport,), optional=True)
-        slices_c = ArtifactContract((SliceResult,))
-        paths_c = ArtifactContract((ToolpathStack,))
-        return StageGraph((
+        return (
             Stage(
                 "tessellate",
                 ("model",),
                 _run_tessellate,
                 lambda ctx: _resolution_key(ctx.resolution),
-                produces=export_c,
             ),
             Stage(
                 "validate",
                 ("tessellate",),
                 _run_validate,
                 lambda ctx: (),
-                produces=ArtifactContract((GeometryReport,)),
-                expects={"tessellate": export_c},
             ),
             Stage(
                 "seam",
                 ("tessellate",),
                 _run_seam,
                 lambda ctx: (ctx.orientation, ctx.analyze_seam, settings_key),
-                produces=seam_c,
-                expects={"tessellate": export_c},
             ),
             Stage(
                 "resolve",
                 ("tessellate",),
                 _run_resolve,
                 lambda ctx: (),
-                produces=mesh_c,
-                expects={"tessellate": export_c},
             ),
             Stage(
                 "orient",
                 ("resolve",),
                 _run_orient,
                 lambda ctx: (ctx.orientation, margin),
-                produces=mesh_c,
-                expects={"resolve": mesh_c},
             ),
             Stage(
                 "slice",
                 ("orient",),
                 _run_slice,
                 lambda ctx: settings_key,
-                produces=slices_c,
-                expects={"orient": mesh_c},
             ),
             Stage(
                 "toolpath",
@@ -355,8 +358,6 @@ class ProcessChain:
                 lambda ctx: (settings_key, "columns"),
                 pack=pack_toolpaths,
                 unpack=unpack_toolpaths,
-                produces=paths_c,
-                expects={"slice": slices_c},
             ),
             Stage(
                 "gcode",
@@ -365,16 +366,12 @@ class ProcessChain:
                 lambda ctx: (),
                 pack=pack_gcode,
                 unpack=unpack_gcode,
-                produces=ArtifactContract((GCodeProgram,)),
-                expects={"toolpath": paths_c},
             ),
             Stage(
                 "firmware",
                 ("gcode",),
                 _run_firmware,
                 lambda ctx: machine_key,
-                produces=ArtifactContract((FirmwareResult,)),
-                expects={"gcode": ArtifactContract((GCodeProgram,))},
             ),
             Stage(
                 "deposit",
@@ -396,14 +393,8 @@ class ProcessChain:
                 ),
                 pack=pack_artifact,
                 unpack=unpack_artifact,
-                produces=ArtifactContract((PrintedArtifact,)),
-                expects={
-                    "slice": slices_c,
-                    "seam": seam_c,
-                    "orient": mesh_c,
-                },
             ),
-        ))
+        )
 
     # -- execution -----------------------------------------------------------
 
@@ -446,35 +437,24 @@ class ProcessChain:
         ):
             log = self._run_stages(ctx, cell, validate)
 
-        return PrintOutcome(
-            artifact=ctx.artifact("deposit"),
-            export=ctx.artifact("tessellate"),
-            slices=ctx.artifact("slice"),
-            gcode=ctx.artifact("gcode"),
-            firmware=ctx.artifact("firmware"),
-            seam=ctx.artifact("seam"),
-            orientation=orientation,
-            resolution=resolution,
-            geometry=ctx.artifacts.validate,
-            stage_log=tuple(log),
-        )
+        return ctx.outcome(stage_log=tuple(log))
 
     def _run_stages(
         self, ctx: ChainContext, cell: str, validate: bool
     ) -> List[StageExecution]:
-        """Execute the stage graph for one run, in topological order.
+        """Execute the chain's stages for one run, in declared order.
 
         Every node goes through the single execution boundary
         (:func:`repro.pipeline.graph.run_stage`): fault site, trace
-        span, cache lookup, contract check, typed error wrapping.
+        span, cache lookup, typed error wrapping.
         """
         log: List[StageExecution] = []
-        for stage in self.graph.order:
+        for stage in self.stages:
             if stage.name == "validate" and not validate:
                 continue
-            digest = self.graph.node_digest(stage, ctx, ctx.digests)
+            digest = node_digest(stage, ctx, ctx.digests)
             value, hit, seconds = run_stage(
-                self.cache, stage, digest, ctx, cell, graph=self.graph
+                self.cache, stage, digest, ctx, cell
             )
             log.append(StageExecution(stage.name, digest, hit, seconds))
             ctx.artifacts.set(stage.name, value)

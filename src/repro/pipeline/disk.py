@@ -52,9 +52,8 @@ from __future__ import annotations
 import os
 import pickle
 import tempfile
-import time
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Optional, Tuple
 
 from repro import faults
 from repro import observability as obs
@@ -93,8 +92,6 @@ class DiskStageCache(StageCache):
         super().__init__()
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        #: Per-stage count of hits served from disk (not memory).
-        self.disk_hits: Dict[str, int] = {}
 
     def _path(self, stage_name: str, key: str) -> Path:
         return self.root / stage_name / f"{key}.pkl"
@@ -326,49 +323,6 @@ class DiskStageCache(StageCache):
             self._entries[key] = stored
             obs.annotate(hit=True)
             return self._decode(key, stored, unpack), True
-
-    def get_or_run(
-        self,
-        stage_name: str,
-        key: str,
-        fn: Callable[[], Any],
-        pack: Optional[Callable[[Any], Any]] = None,
-        unpack: Optional[Callable[[Any], Any]] = None,
-    ) -> Tuple[Any, bool]:
-        """As :meth:`StageCache.get_or_run`; both tiers hold the packed
-        form."""
-        stats = self.stats.stage(stage_name)
-        with obs.span("cache.get", stage=stage_name, key=key[:12]):
-            if key in self._entries:
-                self._entries.move_to_end(key)
-                stats.hits += 1
-                if stats.misses:
-                    stats.saved_s += stats.run_s / stats.misses
-                obs.annotate(hit=True, tier="memory")
-                stored = self._entries[key]
-                return self._decode(key, stored, unpack), True
-            stored, found = self._load(stage_name, key)
-            if found:
-                stats.hits += 1
-                self.disk_hits[stage_name] = self.disk_hits.get(stage_name, 0) + 1
-                if stats.misses:
-                    stats.saved_s += stats.run_s / stats.misses
-                obs.annotate(hit=True, tier="disk")
-                self._entries[key] = stored
-                return self._decode(key, stored, unpack), True
-
-            start = time.perf_counter()
-            value = fn()
-            elapsed = time.perf_counter() - start
-            stats.run_s += elapsed
-            stats.misses += 1
-            obs.annotate(hit=False, tier="compute", run_s=elapsed)
-            stored = pack(value) if pack is not None else value
-            self._entries[key] = stored
-            if pack is not None:
-                self._remember_decoded(key, value)
-            self._store(stage_name, key, stored)
-            return value, False
 
     def derived_put(self, key: str, value: Any) -> None:
         """As :meth:`StageCache.derived_put`, also persisting the entry

@@ -76,7 +76,7 @@ from repro.mesh.content_hash import model_digest
 from repro.pipeline.cache import CacheStats, StageCache
 from repro.pipeline.chain import ChainContext
 from repro.pipeline.disk import FINALIZE_STAGE, DiskStageCache
-from repro.pipeline.graph import SchedulerStats
+from repro.pipeline.graph import SchedulerStats, node_digest
 from repro.pipeline.report import (
     SweepCellError,
     SweepCellResult,
@@ -165,6 +165,8 @@ class FleetJob:
         self.cancelled = False
         self.report: Optional[SweepReport] = None
         self._start_tick: float = 0.0
+        #: The fleet's pool rebuild count when this job was admitted.
+        self._rebuilds_at_admit: int = 0
 
     def rank(self) -> Tuple:
         """Urgency: priority first, then deadline, then admission order."""
@@ -194,7 +196,7 @@ class FleetNode:
 
     def __init__(self, stage_name, position, digest, key, deps):
         self.stage_name = stage_name
-        #: Topological position of the stage (heap tie-break: upstream
+        #: Position of the stage in the chain (heap tie-break: upstream
         #: nodes first).
         self.position = position
         self.digest = digest
@@ -337,6 +339,7 @@ class FleetScheduler:
             job.seq = self._job_seq
             job.admitted_s = time.time()
             job._start_tick = time.perf_counter()
+            job._rebuilds_at_admit = self._rebuilds
             if job.deadline_s is not None:
                 job.deadline_at = job.admitted_s + job.deadline_s
             job.chain = planning_chain
@@ -372,12 +375,10 @@ class FleetScheduler:
         ctx.digests["model"] = root_digest
         digests = {"model": root_digest}
         planned = []
-        for position, stage in enumerate(job.chain.graph.order):
+        for position, stage in enumerate(job.chain.stages):
             if stage.name in SWEEP_EXCLUDED:
                 continue
-            digests[stage.name] = job.chain.graph.node_digest(
-                stage, ctx, digests
-            )
+            digests[stage.name] = node_digest(stage, ctx, digests)
             planned.append((position, stage))
         job.cell_digests[index] = digests
         memo_key = self._finalize_key(job, index)
@@ -768,7 +769,7 @@ class FleetScheduler:
         show their real hit/seconds; shared executions are free hits."""
         log = []
         claim = (job.job_id, index)
-        for stage in job.chain.graph.order:
+        for stage in job.chain.stages:
             node = job.cell_nodes[index].get(stage.name)
             if node is None or node.record is None:
                 continue
@@ -799,7 +800,7 @@ class FleetScheduler:
             stats=job.stats,
             jobs=self.jobs,
             wall_s=time.perf_counter() - job._start_tick,
-            pool_rebuilds=self._rebuilds,
+            pool_rebuilds=self._rebuilds - job._rebuilds_at_admit,
             degraded_to_serial=self._degraded,
             scheduler=job.counters,
             transport=job.transport if self.jobs > 1 else None,

@@ -1,30 +1,25 @@
-"""The typed stage graph and the single node-execution boundary.
+"""The single node-execution boundary and the scheduler's node counters.
 
-The paper's Fig. 1 process chain is a DAG of stages, each a place where
-files get produced, cached, tampered with or sabotaged (Table 1).  The
-engine used to hard-wire one linear chain and scatter its cross-cutting
-concerns - fault injection, span tracing, cache get/store, typed error
-wrapping - across call sites in ``chain.py`` and ``parallel.py``.  This
-module makes the graph first-class:
+The paper's Fig. 1 process chain is one fixed sequence of stages
+(:attr:`~repro.pipeline.chain.ProcessChain.stages`, declared in
+execution order), each a place where files get produced, cached,
+tampered with or sabotaged (Table 1).  Serial chain runs and the fleet
+scheduler execute those stages as graph nodes through this module:
 
-:class:`StageGraph`
-    A validated, declarative description of the chain: stage inputs
-    form the edges, and construction rejects duplicate names, dangling
-    dependencies, cycles, and producer/consumer artifact-contract
-    mismatches (:class:`~repro.pipeline.stage.ArtifactContract`).  The
-    validation happens once, when a :class:`~repro.pipeline.chain.ProcessChain`
-    is built - not at run N of a sweep.
+:func:`node_digest`
+    A node's content address: the stage name, its inputs' digests and
+    its parameter key.
 
 :func:`run_stage`
-    The one boundary through which every graph-node execution goes,
-    serial chain runs and scheduler workers alike.  It interposes, in
-    order: the stage's fault-injection site, the ``stage.<name>`` trace
-    span, the content-addressed cache lookup, the artifact-contract
-    check on fresh computes, and the :class:`StageError` wrapping that
-    gives failures chain coordinates.  These interposition points are
-    exactly where Table 1's per-stage mitigations (hash verification,
-    geometry review, anomaly detection) would attach in a production
-    deployment - see DESIGN.md §3.5.
+    The one boundary through which every node execution goes, serial
+    chain runs and scheduler workers alike.  It interposes, in order:
+    the stage's fault-injection site, the ``stage.<name>`` trace span,
+    the content-addressed cache lookup, and the :class:`StageError`
+    wrapping that gives failures chain coordinates.  These
+    interposition points are exactly where Table 1's per-stage
+    mitigations (hash verification, geometry review, anomaly
+    detection) would attach in a production deployment - see
+    DESIGN.md §3.5.
 
 :class:`SchedulerStats`
     Per-stage requested/scheduled/deduped/executed counters of the
@@ -40,142 +35,24 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro import faults
 from repro import observability as obs
 from repro.pipeline.cache import digest_parts
-from repro.pipeline.resilience import CellTimeout, PipelineConfigError, StageError
+from repro.pipeline.resilience import CellTimeout, StageError
 from repro.pipeline.stage import Stage
 
-#: Name of the implicit root artifact every chain hangs off.
-MODEL_ROOT = "model"
 
-
-class StageGraphError(PipelineConfigError):
-    """A stage graph that cannot be executed: duplicate or dangling
-    stage names, a dependency cycle, or an artifact-contract mismatch
-    between a producer and one of its consumers.  Raised at graph
-    construction time, never mid-sweep."""
-
-
-class StageGraph:
-    """A validated DAG of :class:`~repro.pipeline.stage.Stage` objects.
-
-    Parameters
-    ----------
-    stages:
-        The stage declarations.  Declaration order is preserved
-        wherever the topological order leaves a choice, so the engine's
-        execution order (and therefore its stats-table order) is
-        stable.
-    roots:
-        Names of artifacts provided by the caller rather than produced
-        by a stage (the CAD ``"model"``).
-
-    Attributes
-    ----------
-    stages:
-        The declared stages, in declaration order.
-    order:
-        The stages in topological execution order.
-    by_name:
-        Stage lookup by name.
-    """
-
-    def __init__(
-        self,
-        stages: Sequence[Stage],
-        roots: Tuple[str, ...] = (MODEL_ROOT,),
-    ):
-        self.stages: Tuple[Stage, ...] = tuple(stages)
-        self.roots: Tuple[str, ...] = tuple(roots)
-        self.by_name: Dict[str, Stage] = {}
-        for stage in self.stages:
-            if stage.name in self.roots:
-                raise StageGraphError(
-                    f"stage {stage.name!r} shadows a root artifact"
-                )
-            if stage.name in self.by_name:
-                raise StageGraphError(f"duplicate stage name {stage.name!r}")
-            self.by_name[stage.name] = stage
-        self._check_dangling()
-        self._check_contracts()
-        self.order: Tuple[Stage, ...] = self._topological_order()
-
-    # -- validation ----------------------------------------------------------
-
-    def _check_dangling(self) -> None:
-        for stage in self.stages:
-            for name in stage.inputs:
-                if name not in self.by_name and name not in self.roots:
-                    raise StageGraphError(
-                        f"stage {stage.name!r} depends on {name!r}, which "
-                        "is neither a stage nor a root artifact"
-                    )
-            for name in stage.expects:
-                if name not in stage.inputs:
-                    raise StageGraphError(
-                        f"stage {stage.name!r} declares a contract for "
-                        f"{name!r}, which is not one of its inputs"
-                    )
-
-    def _check_contracts(self) -> None:
-        for consumer in self.stages:
-            for name, expected in consumer.expects.items():
-                producer = self.by_name.get(name)
-                if producer is None or producer.produces is None:
-                    continue  # root input, or producer declares nothing
-                if not expected.accepts(producer.produces):
-                    raise StageGraphError(
-                        f"artifact contract mismatch on edge "
-                        f"{name!r} -> {consumer.name!r}: producer emits "
-                        f"{producer.produces.describe()}, consumer "
-                        f"expects {expected.describe()}"
-                    )
-
-    def _topological_order(self) -> Tuple[Stage, ...]:
-        placed = set(self.roots)
-        remaining = list(self.stages)
-        order: List[Stage] = []
-        while remaining:
-            for stage in remaining:
-                if all(name in placed for name in stage.inputs):
-                    order.append(stage)
-                    placed.add(stage.name)
-                    remaining.remove(stage)
-                    break
-            else:
-                cycle = ", ".join(repr(s.name) for s in remaining)
-                raise StageGraphError(
-                    f"dependency cycle among stages: {cycle}"
-                )
-        return tuple(order)
-
-    # -- queries -------------------------------------------------------------
-
-    def check_output(self, stage: Stage, value: Any) -> None:
-        """Enforce ``stage.produces`` on a freshly computed artifact."""
-        contract = stage.produces
-        if contract is None or contract.admits(value):
-            return
-        got = "None" if value is None else type(value).__name__
-        raise StageGraphError(
-            f"stage {stage.name!r} produced {got}, violating its "
-            f"contract {contract.describe()}"
-        )
-
-    def node_digest(
-        self, stage: Stage, ctx: Any, digests: Dict[str, str]
-    ) -> str:
-        """Content address of one stage execution: the stage name, its
-        inputs' digests (chaining all the way up to the model's content
-        hash) and its parameter key."""
-        return digest_parts(
-            stage.name,
-            tuple(digests[name] for name in stage.inputs),
-            stage.key(ctx),
-        )
+def node_digest(stage: Stage, ctx: Any, digests: Dict[str, str]) -> str:
+    """Content address of one stage execution: the stage name, its
+    inputs' digests (chaining all the way up to the model's content
+    hash) and its parameter key."""
+    return digest_parts(
+        stage.name,
+        tuple(digests[name] for name in stage.inputs),
+        stage.key(ctx),
+    )
 
 
 def run_stage(
@@ -184,25 +61,20 @@ def run_stage(
     digest: str,
     ctx: Any,
     cell: str,
-    graph: Optional[StageGraph] = None,
 ) -> Tuple[Any, bool, float]:
     """Execute one graph node; returns ``(artifact, cache_hit, seconds)``.
 
-    The single node-execution boundary (ISSUE 6 tentpole): fault
-    injection, span tracing, cache get/store, artifact-contract
-    enforcement and typed error wrapping all live here, so the serial
-    chain and the sweep scheduler cannot drift apart in what a "stage
-    execution" means.  Exactly one ``cache.get`` span and one stage
+    The single node-execution boundary: fault injection, span tracing,
+    cache get/store and typed error wrapping all live here, so the
+    serial chain and the sweep scheduler cannot drift apart in what a
+    "stage execution" means.  Exactly one ``cache.get`` span and one stage
     hit-or-miss is accounted per call - the invariant the observability
     layer's span-derived totals rely on.
     """
 
     def _compute():
         faults.fire(stage.fault_site, context=cell)
-        value = stage.run(ctx)
-        if graph is not None:
-            graph.check_output(stage, value)
-        return value
+        return stage.run(ctx)
 
     start = time.perf_counter()
     with obs.span(

@@ -49,7 +49,6 @@ from repro.pipeline.report import (
     outcome_fingerprint,
 )
 from repro.pipeline.resilience import PipelineError, RetryPolicy, time_limit
-from repro.printer.job import PrintOutcome
 
 #: Stages whose artifacts assemble a cell's
 #: :class:`~repro.printer.job.PrintOutcome`; transitively they cover
@@ -120,17 +119,16 @@ class _Materializer:
         self._have: set = set()
 
     def ensure(self, name: str) -> None:
-        if name in self._have or name not in self.chain.graph.by_name:
+        if name in self._have or name not in self.chain.by_name:
             return  # root artifacts (the model) live on the context
-        stage = self.chain.graph.by_name[name]
+        stage = self.chain.by_name[name]
         digest = self.digests[name]
         value, found = self.cache.fetch(name, digest, unpack=stage.unpack)
         if not found:
             for dep in stage.inputs:
                 self.ensure(dep)
             value, _, _ = run_stage(
-                self.cache, stage, digest, self.ctx, self.cell,
-                graph=self.chain.graph,
+                self.cache, stage, digest, self.ctx, self.cell
             )
         self.ctx.artifacts.set(name, value)
         self._have.add(name)
@@ -152,16 +150,14 @@ def execute_node(
     Retry and the wall-clock budget wrap the whole attempt, inputs
     included; raises after the policy is exhausted.
     """
-    stage = chain.graph.by_name[stage_name]
+    stage = chain.by_name[stage_name]
     materializer = _Materializer(chain, cache, ctx, digests, cell)
 
     def attempt():
         with time_limit(timeout_s, what=f"cell {cell}"):
             for name in stage.inputs:
                 materializer.ensure(name)
-            return run_stage(
-                cache, stage, digest, ctx, cell, graph=chain.graph
-            )
+            return run_stage(cache, stage, digest, ctx, cell)
 
     (value, hit, seconds), attempts = retry.call(attempt)
     ctx.artifacts.set(stage_name, value)
@@ -191,24 +187,12 @@ def execute_finalize(
     it, not here.  Returns ``(fingerprint, assessment, attempts)``;
     raises on failure.
     """
-    resolution = ctx.resolution
-    orientation = ctx.orientation
-
     def attempt():
         with time_limit(timeout_s, what=f"cell {cell}"):
             materializer = _Materializer(chain, cache, ctx, digests, cell)
             for name in OUTCOME_STAGES:
                 materializer.ensure(name)
-            outcome = PrintOutcome(
-                artifact=ctx.artifacts.deposit,
-                export=ctx.artifacts.tessellate,
-                slices=ctx.artifacts.slice,
-                gcode=ctx.artifacts.gcode,
-                firmware=ctx.artifacts.firmware,
-                seam=ctx.artifacts.seam,
-                orientation=orientation,
-                resolution=resolution,
-            )
+            outcome = ctx.outcome()
             fingerprint = outcome_fingerprint(outcome)
             assessment = assess(outcome) if assess is not None else None
             return fingerprint, assessment
@@ -216,8 +200,8 @@ def execute_finalize(
     with obs.span(
         "sweep.cell",
         cell=cell,
-        resolution=resolution.name,
-        orientation=orientation.value,
+        resolution=ctx.resolution.name,
+        orientation=ctx.orientation.value,
     ):
         try:
             (fingerprint, assessment), attempts = retry.call(attempt)

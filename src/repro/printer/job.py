@@ -90,11 +90,6 @@ class PrintJob:
         """The job's content-addressed stage cache."""
         return self.chain.cache
 
-    @property
-    def graph(self):
-        """The job's typed :class:`~repro.pipeline.graph.StageGraph`."""
-        return self.chain.graph
-
     def print_model(
         self,
         model: CadModel,

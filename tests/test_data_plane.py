@@ -237,7 +237,7 @@ class TestToolpathSegments:
     def test_stage_key_carries_the_codec_tag(self):
         from repro.pipeline.chain import ProcessChain
 
-        stage = ProcessChain().graph.by_name["toolpath"]
+        stage = ProcessChain().by_name["toolpath"]
         assert stage.pack is pack_toolpaths and stage.unpack is unpack_toolpaths
         assert stage.key(None)[-1] == "columns"
 

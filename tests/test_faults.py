@@ -256,6 +256,39 @@ class TestChaosSweep:
             }
         assert len(_fingerprints(jobs[0].report)) == 2
 
+    def test_job_reports_only_rebuilds_since_its_admission(
+        self, protected, baseline, tmp_path
+    ):
+        """A long-lived fleet's later job does not inherit the pool
+        rebuilds an earlier job's worker death caused."""
+        config = ChainConfig.of(ProcessChain())
+        faults.install(FaultPlan(
+            (FaultSpec("worker", "kill-worker", times=1),),
+            scratch=str(tmp_path / "scratch"),
+        ))
+        fleet = FleetScheduler(DiskStageCache(tmp_path / "cache"), jobs=2)
+        deadline = time.monotonic() + 180.0
+        try:
+            reports = []
+            for name, grid in (
+                ("a", [(COARSE, PrintOrientation.XY)]),
+                ("b", [(COARSE, PrintOrientation.XZ)]),
+            ):
+                job = fleet.admit(FleetJob(name, protected.model, grid,
+                                           config, assess=assess_print))
+                while fleet.has_work():
+                    assert time.monotonic() < deadline, "fleet wedged"
+                    fleet.step()
+                reports.append(job.report)
+                faults.uninstall()
+        finally:
+            fleet.shutdown()
+        first, second = reports
+        assert first.ok and first.pool_rebuilds >= 1
+        assert second.ok and second.pool_rebuilds == 0
+        assert second.transport.tasks > 0
+        assert {**_fingerprints(first), **_fingerprints(second)} == baseline
+
     def test_persistent_worker_death_degrades_to_serial(
         self, protected, baseline, tmp_path
     ):

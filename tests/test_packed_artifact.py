@@ -20,7 +20,6 @@ from repro.cad.resolution import COARSE
 from repro.pipeline.cache import StageCache
 from repro.pipeline.chain import ProcessChain, _machine_key
 from repro.pipeline.disk import DiskStageCache
-from repro.pipeline.graph import StageGraph
 from repro.pipeline.report import outcome_fingerprint
 from repro.printer import artifact as artifact_mod
 from repro.printer import deposition
@@ -392,7 +391,7 @@ class FlatCodecChain(ProcessChain):
     """The chain as the earlier codec ran it: flat deposit entries under
     the deposit key of that release, which had no codec tag."""
 
-    def _build_graph(self):
+    def _build_stages(self):
         def legacy_key(ctx):
             return (
                 _machine_key(self.machine),
@@ -402,12 +401,12 @@ class FlatCodecChain(ProcessChain):
                 ctx.orientation,
             )
 
-        return StageGraph(tuple(
+        return tuple(
             dataclasses.replace(stage, key=legacy_key, pack=legacy_pack,
                                 unpack=legacy_unpack)
             if stage.name == "deposit" else stage
-            for stage in super()._build_graph().stages
-        ))
+            for stage in super()._build_stages()
+        )
 
 
 class TestDepositCacheEntries:

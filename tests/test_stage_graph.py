@@ -1,10 +1,8 @@
-"""The typed stage graph and the stage-granular sweep scheduler.
+"""The chain's stage list and the stage-granular sweep scheduler.
 
-ISSUE 6 tentpole: the process chain is a declarative, validated
-:class:`~repro.pipeline.graph.StageGraph` (construction rejects cycles,
-dangling dependencies and artifact-contract mismatches), and sweeps run
-on the fleet scheduler, which merges the cells into one node set and
-executes shared upstream nodes exactly once.
+The process chain is one tuple of stages in execution order, and sweeps
+run on the fleet scheduler, which merges the cells into one node set
+and executes shared upstream nodes exactly once.
 
 The acceptance test at the bottom is the PR's contract: a cold
 3-resolution x 3-orientation sweep produces outcome fingerprints
@@ -19,20 +17,15 @@ from repro.cad import COARSE, StlResolution
 from repro.obfuscade.obfuscator import Obfuscator
 from repro.obfuscade.quality import assess_print
 from repro.pipeline import (
-    ArtifactContract,
     ChainArtifacts,
     FleetJob,
     FleetScheduler,
     ParallelSweep,
-    PipelineConfigError,
     ProcessChain,
     StageCache,
-    StageGraph,
-    StageGraphError,
     outcome_fingerprint,
 )
 from repro.pipeline.scheduler import ChainConfig
-from repro.pipeline.stage import Stage
 from repro.printer.orientation import PrintOrientation
 
 RESOLUTIONS = (
@@ -48,118 +41,73 @@ ORIENTATIONS = (
 N_CELLS = len(RESOLUTIONS) * len(ORIENTATIONS)
 
 
-def _stage(name, inputs=(), produces=None, expects=None):
-    """A minimal stage declaration for graph-validation tests."""
-    return Stage(
-        name,
-        tuple(inputs),
-        run=lambda ctx: name,
-        key=lambda ctx: (),
-        produces=produces,
-        expects=dict(expects or {}),
-    )
-
-
 @pytest.fixture(scope="module")
 def protected():
     return Obfuscator(seed=7).protect_tensile_bar()
 
 
-class TestStageGraphValidation:
-    """Every malformed graph fails at construction, never mid-sweep."""
+def _chain_stages():
+    chain = ProcessChain()
+    return chain, [stage.name for stage in chain.stages]
 
-    def test_errors_are_configuration_errors(self):
-        assert issubclass(StageGraphError, PipelineConfigError)
+
+class TestStageGraphValidation:
+    """The chain's stage tuple is a valid execution order: unique names,
+    no stage shadowing the model root, no dangling or cyclic inputs, and
+    every stage declared after the stages it reads."""
 
     def test_duplicate_stage_name(self):
-        with pytest.raises(StageGraphError, match="duplicate stage name"):
-            StageGraph((_stage("a", ("model",)), _stage("a", ("model",))))
+        chain, names = _chain_stages()
+        assert len(set(names)) == len(names)
+        assert set(chain.by_name) == set(names)
+        for stage in chain.stages:
+            assert chain.by_name[stage.name] is stage
 
     def test_stage_shadowing_a_root(self):
-        with pytest.raises(StageGraphError, match="shadows a root"):
-            StageGraph((_stage("model"),))
+        _, names = _chain_stages()
+        assert "model" not in names
 
     def test_dangling_dependency(self):
-        with pytest.raises(StageGraphError, match="depends on 'ghost'"):
-            StageGraph((_stage("a", ("ghost",)),))
-
-    def test_contract_for_non_input(self):
-        with pytest.raises(StageGraphError, match="not one of its inputs"):
-            StageGraph((
-                _stage(
-                    "a",
-                    ("model",),
-                    expects={"b": ArtifactContract((int,))},
-                ),
-            ))
+        chain, names = _chain_stages()
+        for stage in chain.stages:
+            assert stage.inputs
+            for name in stage.inputs:
+                assert name == "model" or name in names, (
+                    f"{stage.name!r} depends on {name!r}"
+                )
 
     def test_dependency_cycle(self):
-        with pytest.raises(StageGraphError, match="dependency cycle"):
-            StageGraph((_stage("a", ("b",)), _stage("b", ("a",))))
+        """No stage reaches itself through its inputs."""
+        chain, _ = _chain_stages()
 
-    def test_producer_consumer_contract_mismatch(self):
-        with pytest.raises(StageGraphError, match="contract mismatch"):
-            StageGraph((
-                _stage("a", ("model",), produces=ArtifactContract((int,))),
-                _stage(
-                    "b", ("a",),
-                    expects={"a": ArtifactContract((str,))},
-                ),
-            ))
+        def upstream(name, seen):
+            for dep in chain.by_name[name].inputs:
+                if dep != "model" and dep not in seen:
+                    seen.add(dep)
+                    upstream(dep, seen)
+            return seen
 
-    def test_optional_producer_needs_tolerant_consumer(self):
-        """A producer that may emit None cannot feed a consumer whose
-        contract forbids it."""
-        with pytest.raises(StageGraphError, match="contract mismatch"):
-            StageGraph((
-                _stage(
-                    "a", ("model",),
-                    produces=ArtifactContract((int,), optional=True),
-                ),
-                _stage(
-                    "b", ("a",),
-                    expects={"a": ArtifactContract((int,))},
-                ),
-            ))
+        for stage in chain.stages:
+            assert stage.name not in upstream(stage.name, set())
 
     def test_compatible_graph_orders_topologically(self):
-        contract = ArtifactContract((int,))
-        graph = StageGraph((
-            _stage("late", ("early",), expects={"early": contract}),
-            _stage("early", ("model",), produces=contract),
-        ))
-        assert [s.name for s in graph.order] == ["early", "late"]
-
-    def test_check_output_enforces_producer_contract(self):
-        stage = _stage("a", ("model",), produces=ArtifactContract((int,)))
-        graph = StageGraph((stage,))
-        graph.check_output(stage, 3)  # admitted
-        with pytest.raises(StageGraphError, match="produced str"):
-            graph.check_output(stage, "not an int")
-        with pytest.raises(StageGraphError, match="produced None"):
-            graph.check_output(stage, None)
-
-
-class TestArtifactContract:
-    def test_admits(self):
-        contract = ArtifactContract((int,))
-        assert contract.admits(3)
-        assert not contract.admits("3")
-        assert not contract.admits(None)
-        assert ArtifactContract((int,), optional=True).admits(None)
-
-    def test_accepts_subclasses(self):
-        assert ArtifactContract((object,)).accepts(ArtifactContract((int,)))
-        assert not ArtifactContract((int,)).accepts(
-            ArtifactContract((object,))
-        )
-
-    def test_describe(self):
-        assert ArtifactContract((int,)).describe() == "int"
-        assert (
-            ArtifactContract((int,), optional=True).describe()
-            == "Optional[int]"
-        )
+        """Every input is the model or a stage declared earlier, so the
+        declared order is the order a topological sort produces."""
+        chain, names = _chain_stages()
+        for position, stage in enumerate(chain.stages):
+            for name in stage.inputs:
+                assert name == "model" or name in names[:position], (
+                    f"{stage.name!r} reads {name!r} before it runs"
+                )
+        done = {"model"}
+        order = []
+        pending = list(chain.stages)
+        while pending:
+            ready = next(s for s in pending if set(s.inputs) <= done)
+            pending.remove(ready)
+            order.append(ready.name)
+            done.add(ready.name)
+        assert order == names
 
 
 class TestChainArtifacts:
