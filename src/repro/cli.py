@@ -42,21 +42,12 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.cad.resolution import COARSE, FINE, custom_resolution
 from repro.mesh.stl_io import load_stl, save_stl
 from repro.mesh.validate import validate_mesh
 from repro.printer.deposition import DepositionSimulator
-from repro.printer.machines import DIMENSION_ELITE, OBJET30_PRO
-from repro.printer.orientation import PrintOrientation, place_on_plate
+from repro.printer.orientation import place_on_plate
 from repro.slicer.coincident import resolve_coincident_faces
-
-_RESOLUTIONS = {
-    "coarse": COARSE,
-    "fine": FINE,
-    "custom": custom_resolution(),
-}
-_ORIENTATIONS = {o.value: o for o in PrintOrientation}
-_MACHINES = {"fdm": DIMENSION_ELITE, "polyjet": OBJET30_PRO}
+from repro.vocabulary import MACHINES, ORIENTATIONS, RESOLUTIONS
 
 
 def _add_observability_args(p: argparse.ArgumentParser) -> None:
@@ -298,15 +289,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--key-out", default=None, help="manufacturing key JSON path")
     p.add_argument(
         "--resolution",
-        choices=sorted(_RESOLUTIONS),
+        choices=sorted(RESOLUTIONS),
         default="fine",
         help="export resolution (the key permits fine/custom)",
     )
 
     p = sub.add_parser("print", help="virtually manufacture an STL file")
     p.add_argument("stl", help="input STL path")
-    p.add_argument("--orientation", choices=sorted(_ORIENTATIONS), default="x-y")
-    p.add_argument("--machine", choices=sorted(_MACHINES), default="fdm")
+    p.add_argument("--orientation", choices=sorted(ORIENTATIONS), default="x-y")
+    p.add_argument("--machine", choices=sorted(MACHINES), default="fdm")
     p.add_argument("--raster-cell", type=float, default=0.1, help="voxel cell, mm")
 
     p = sub.add_parser("inspect", help="manifold-geometry review of an STL")
@@ -337,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated subset of x-y/x-z/y-z (y-z is plate-flat "
         "like x-y and is key-equivalent in practice)",
     )
-    p.add_argument("--machine", choices=sorted(_MACHINES), default="fdm")
+    p.add_argument("--machine", choices=sorted(MACHINES), default="fdm")
 
     p = sub.add_parser("reverse", help="reconstruct geometry from G-code")
     p.add_argument("gcode", help="input G-code path")
@@ -418,7 +409,7 @@ def _cmd_protect(args) -> int:
     protected = Obfuscator(seed=args.seed).protect_tensile_bar(
         randomize=args.seed is not None
     )
-    export = protected.model.export_stl(_RESOLUTIONS[args.resolution])
+    export = protected.model.export_stl(RESOLUTIONS[args.resolution])
     size = save_stl(export.mesh, args.out, name=protected.model.name)
     print(f"wrote {args.out}: {export.n_triangles} triangles, {size} bytes")
     print(f"protection: {protected.describe()}")
@@ -437,8 +428,8 @@ def _cmd_protect(args) -> int:
 
 def _cmd_print(args) -> int:
     mesh = load_stl(args.stl)
-    machine = _MACHINES[args.machine]
-    orientation = _ORIENTATIONS[args.orientation]
+    machine = MACHINES[args.machine]
+    orientation = ORIENTATIONS[args.orientation]
     resolved = resolve_coincident_faces(mesh)
     oriented = place_on_plate([resolved], orientation)[0]
     import numpy as np
@@ -506,12 +497,12 @@ def _cmd_sweep(args) -> int:
 
     try:
         resolutions = [
-            _RESOLUTIONS[name.strip()]
+            RESOLUTIONS[name.strip()]
             for name in args.resolutions.split(",")
             if name.strip()
         ]
         orientations = [
-            _ORIENTATIONS[name.strip()]
+            ORIENTATIONS[name.strip()]
             for name in args.orientations.split(",")
             if name.strip()
         ]
@@ -530,7 +521,7 @@ def _cmd_sweep(args) -> int:
         extra_config={"machine": args.machine},
         resolutions=resolutions,
         orientations=orientations,
-        chain=ProcessChain(machine=_MACHINES[args.machine]),
+        chain=ProcessChain(machine=MACHINES[args.machine]),
     )
 
 

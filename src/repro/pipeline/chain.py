@@ -132,7 +132,6 @@ class ChainContext:
     model: CadModel
     resolution: StlResolution
     orientation: PrintOrientation
-    analyze_seam: bool
     artifacts: ChainArtifacts = field(default_factory=ChainArtifacts)
     digests: Dict[str, str] = field(default_factory=dict)
 
@@ -218,7 +217,7 @@ def _run_validate(ctx: ChainContext):
 
 
 def _run_seam(ctx: ChainContext):
-    if not (ctx.analyze_seam and _has_split(ctx.model)):
+    if not _has_split(ctx.model):
         return None
     export = ctx.artifact("tessellate")
     split_meshes = _split_body_meshes(ctx.model, export)
@@ -329,7 +328,7 @@ class ProcessChain:
                 "seam",
                 ("tessellate",),
                 _run_seam,
-                lambda ctx: (ctx.orientation, ctx.analyze_seam, settings_key),
+                lambda ctx: (ctx.orientation, settings_key),
             ),
             Stage(
                 "resolve",
@@ -408,7 +407,6 @@ class ProcessChain:
         model: CadModel,
         resolution: StlResolution,
         orientation: PrintOrientation = PrintOrientation.XY,
-        analyze_seam: bool = True,
         validate: bool = False,
     ):
         """Manufacture ``model`` under the given process conditions.
@@ -422,7 +420,6 @@ class ProcessChain:
             model=model,
             resolution=resolution,
             orientation=orientation,
-            analyze_seam=analyze_seam,
         )
         ctx.digests["model"] = model_digest(model)
         cell = f"{resolution.name}/{orientation.value}"

@@ -9,15 +9,31 @@ depend only on the resolution, not the orientation - or by several
 jobs, even jobs submitted while the fleet is already running, executes
 exactly once, with its result fanned out to every consumer.
 
+Every schedulable unit is a :class:`FleetNode` with one lifecycle
+(``PENDING`` -> ``READY`` -> ``RUNNING`` -> ``DONE``, or ``RELEASED``
+when it leaves the index unexecuted):
+
+* a *stage node* is keyed ``(stage name, content digest)`` and claimed
+  by every ``(job, cell)`` that needs it;
+* a cell's *finalize* (assemble the outcome, fingerprint it, assess
+  it) is a node keyed ``(FINALIZE_STAGE, job id, cell index)``: its one
+  claim is its cell, its dependencies are the cell's outcome-stage
+  nodes, and it ranks after every stage node of equal urgency.  It
+  never enters :class:`~repro.pipeline.graph.SchedulerStats`, and the
+  cell is resolved once its claim has left the node;
+* a node with no claim left leaves the index, at once or, if it is
+  running, when its result comes back - so an idle fleet holds no
+  node at all.
+
 Per-job accounting is split out of shared-node execution:
 
-* every task (a node execution or a cell finalize) is *attributed* to
-  exactly one claiming job - the job whose stats delta, trace spans and
-  ``executed`` counter record it.  Consuming jobs see the node in their
-  stage logs as a free hit (``hit=True, 0.0s``) with no span and no
-  stats contribution, so each job's trace and manifest stay in exact
-  agreement (the ``check_run_artifacts.py`` invariant), and a job's
-  outcome fingerprints are bit-identical to running it alone serially;
+* every task is *attributed* to exactly one live claim - the job whose
+  stats delta, trace spans and ``executed`` counter record it.
+  Consuming jobs see the node in their stage logs as a free hit
+  (``hit=True, 0.0s``) with no span and no stats contribution, so each
+  job's trace and manifest stay in exact agreement (the
+  ``check_run_artifacts.py`` invariant), and a job's outcome
+  fingerprints are bit-identical to running it alone serially;
 * a failed shared node charges the attributed claim's cell only
   (failure splitting), cancels that cell, and re-queues the node for
   the surviving claims - other cells and jobs never inherit a victim's
@@ -32,10 +48,10 @@ Jones, *Build Systems a la Carte*): a cell's content digests are pure,
 so planning computes them first and looks up the cell's
 :func:`~repro.pipeline.report.finalize_key` in the finalize memo,
 which every successful finalize seeds.  A hit resolves the cell at
-admission - no node claim, no task, no artifact load, no stage
-counter - and counts it as ``cutoff_cells``; a job whose every cell is
-cut off completes inside :meth:`FleetScheduler.admit`.  The fleet is
-the memo's only reader and writer, and only assess callables with a
+admission - no node, no task, no artifact load, no stage counter -
+and counts it as ``cutoff_cells``; a job whose every cell is cut off
+completes inside :meth:`FleetScheduler.admit`.  The fleet is the
+memo's only reader and writer, and only assess callables with a
 stable identity are memoized.  The memo lives in the cache's process
 memory; a :class:`~repro.pipeline.disk.DiskStageCache` also persists
 every entry, hash-verified like any stage artifact.  A job admitted
@@ -55,8 +71,8 @@ after pool-rebuild exhaustion), or fanned out over a warm
 :class:`~repro.pipeline.scheduler.WorkerPool` whose workers open the
 same on-disk cache by its root directory.  A worker death
 (:class:`~concurrent.futures.process.BrokenProcessPool`) requeues the
-lost tasks and rebuilds the pool a bounded number of times before the
-fleet degrades to inline execution.
+lost tasks and rebuilds the pool up to :data:`MAX_POOL_REBUILDS` times
+before the fleet degrades to inline execution.
 """
 
 from __future__ import annotations
@@ -101,10 +117,17 @@ PENDING = "pending"      # waiting on upstream nodes
 READY = "ready"          # in the ready heap
 RUNNING = "running"      # dispatched (inline or to a worker)
 DONE = "done"            # executed; record available for fan-out
-RELEASED = "released"    # dropped unexecuted (cancelled / failure split)
+RELEASED = "released"    # left the index unexecuted (no claim left)
 
 #: Default job priority (lower is more urgent; 0..9 by convention).
 DEFAULT_PRIORITY = 5
+
+#: Pool rebuilds attempted after worker deaths before the fleet
+#: degrades to inline execution of the remaining tasks.
+MAX_POOL_REBUILDS = 2
+
+#: Finalize nodes sort after every stage node of equal urgency.
+_FINAL_POSITION = 1_000_000
 
 _NO_DEADLINE = float("inf")
 
@@ -126,7 +149,6 @@ class FleetJob:
         grid: Sequence[Tuple[Any, Any]],
         config: ChainConfig,
         assess: Optional[Callable[[Any], Any]] = None,
-        analyze_seam: bool = True,
         priority: int = DEFAULT_PRIORITY,
         deadline_s: Optional[float] = None,
         on_complete: Optional[Callable[["FleetJob"], None]] = None,
@@ -139,7 +161,6 @@ class FleetJob:
         self.grid = list(grid)
         self.config = config
         self.assess = assess
-        self.analyze_seam = analyze_seam
         self.priority = priority
         self.deadline_s = deadline_s
         self.on_complete = on_complete
@@ -161,6 +182,8 @@ class FleetJob:
         self.errors: Dict[int, SweepCellError] = {}
         self.cell_attempts: Dict[int, int] = {}
         self.cell_digests: Dict[int, Dict[str, str]] = {}
+        #: Per planned (not cut-off) cell: its nodes by stage name, its
+        #: finalize node under :data:`FINALIZE_STAGE`.
         self.cell_nodes: Dict[int, Dict[str, "FleetNode"]] = {}
         self.cancelled = False
         self.report: Optional[SweepReport] = None
@@ -176,35 +199,31 @@ class FleetJob:
         resolution, orientation = self.grid[index]
         return f"{resolution.name}/{orientation.value}"
 
-    @property
-    def resolved(self) -> int:
-        return len(self.results) + len(self.errors)
-
 
 class FleetNode:
     """One schedulable unit of the fleet-wide merged graph.
 
-    Identity is ``(stage name, content digest)``; ``claims`` lists the
-    ``(job_id, cell index)`` pairs that need the node, across cells and
-    jobs, in claim order (the creating cell's claim first).
+    A stage node's identity is ``(stage name, content digest)``; a
+    finalize node's is ``(FINALIZE_STAGE, job id, cell index)`` with no
+    digest.  ``claims`` lists the ``(job_id, cell index)`` pairs that
+    need the node, across cells and jobs, in claim order (the creating
+    cell's claim first).
     """
 
     __slots__ = (
-        "stage_name", "position", "digest", "key", "deps", "dependents",
-        "claims", "creator", "state", "record", "computed_by", "missing",
+        "stage_name", "position", "digest", "key", "dependents", "claims",
+        "creator", "state", "record", "computed_by", "missing",
     )
 
-    def __init__(self, stage_name, position, digest, key, deps):
+    def __init__(self, stage_name, position, digest, key):
         self.stage_name = stage_name
         #: Position of the stage in the chain (heap tie-break: upstream
         #: nodes first).
         self.position = position
         self.digest = digest
         self.key = key
-        self.deps: Tuple[Tuple, ...] = deps
-        #: Entries waiting on this node: ("node", key) or
-        #: ("final", job_id, index).
-        self.dependents: List[Tuple] = []
+        #: Nodes waiting on this one.
+        self.dependents: List["FleetNode"] = []
         self.claims: List[Tuple[str, int]] = []
         self.creator: Optional[str] = None
         self.state = PENDING
@@ -259,7 +278,6 @@ class FleetScheduler:
         retry: RetryPolicy = NO_RETRY,
         cell_timeout_s: Optional[float] = None,
         keep_going: bool = True,
-        max_pool_rebuilds: int = 2,
         pool: Optional[WorkerPool] = None,
         metrics=None,
     ):
@@ -274,7 +292,6 @@ class FleetScheduler:
         self.retry = retry
         self.cell_timeout_s = cell_timeout_s
         self.keep_going = keep_going
-        self.max_pool_rebuilds = max_pool_rebuilds
         self.metrics = metrics
         self._pool_handle = pool if pool is not None else (
             WorkerPool(jobs) if jobs > 1 else None
@@ -283,15 +300,12 @@ class FleetScheduler:
         self._lock = threading.Lock()
         self._nodes: Dict[Tuple, FleetNode] = {}
         self._jobs: Dict[str, FleetJob] = {}
-        #: (rank, push seq, entry) heap; entries go stale when their
-        #: node leaves READY (or their final's cell is resolved) and
-        #: are skipped at pop.
+        #: (rank, push seq, node key) heap; entries go stale when their
+        #: node leaves READY and are skipped at pop.
         self._ready: List[Tuple] = []
         self._push_seq = 0
         self._job_seq = 0
-        self._final_missing: Dict[Tuple[str, int], int] = {}
-        self._dead_finals: set = set()
-        #: future -> (entry, attributed claim, payload bytes)
+        #: future -> (node, attributed claim, payload bytes)
         self._inflight: Dict[Any, Tuple] = {}
         self._rebuilds = 0
         self._degraded = False
@@ -370,7 +384,6 @@ class FleetScheduler:
             model=job.model,
             resolution=resolution,
             orientation=orientation,
-            analyze_seam=job.analyze_seam,
         )
         ctx.digests["model"] = root_digest
         digests = {"model": root_digest}
@@ -395,35 +408,21 @@ class FleetScheduler:
             if memo is not None:
                 self._cut_off(job, index, planned, memo)
                 return
+        claim = (job.job_id, index)
         mine: Dict[str, FleetNode] = {}
         for position, stage in planned:
-            digest = digests[stage.name]
-            key = (stage.name, digest)
+            key = (stage.name, digests[stage.name])
             counters = job.counters.stage(stage.name)
             counters.requested += 1
             node = self._nodes.get(key)
             if node is None:
-                node = FleetNode(
-                    stage_name=stage.name,
-                    position=position,
-                    digest=digest,
-                    key=key,
-                    deps=tuple(
-                        mine[name].key
-                        for name in stage.inputs
-                        if name in mine
-                    ),
+                node = self._add_node(
+                    stage.name, position, key[1], key,
+                    tuple(mine[name].key for name in stage.inputs
+                          if name in mine),
+                    claim,
                 )
-                node.creator = job.job_id
-                self._nodes[key] = node
                 counters.scheduled += 1
-                for dep_key in node.deps:
-                    dep = self._nodes[dep_key]
-                    if dep.state is not DONE:
-                        node.missing += 1
-                        dep.dependents.append(("node", key))
-                if node.missing == 0:
-                    self._push_node(node)
             else:
                 counters.deduped += 1
                 if node.creator != job.job_id:
@@ -436,23 +435,35 @@ class FleetScheduler:
                         job.counters.fanout_results += 1
                         self.fanout_results += 1
                         self._inc("fleet.fanout_results")
+                node.claims.append(claim)
                 if node.state is READY:
                     # An urgent claimant may improve the node's rank;
                     # re-push (the stale entry is skipped at pop).
                     self._push_node(node, repush=True)
-            node.claims.append((job.job_id, index))
             mine[stage.name] = node
+        mine[FINALIZE_STAGE] = self._add_node(
+            FINALIZE_STAGE, _FINAL_POSITION + index, None,
+            (FINALIZE_STAGE, job.job_id, index),
+            tuple(mine[name].key for name in OUTCOME_STAGES),
+            claim,
+        )
         job.cell_nodes[index] = mine
-        fkey = (job.job_id, index)
-        missing = 0
-        for name in OUTCOME_STAGES:
-            node = mine[name]
-            if node.state is not DONE:
-                missing += 1
-                node.dependents.append(("final", job.job_id, index))
-        self._final_missing[fkey] = missing
-        if missing == 0:
-            self._push(("final", job.job_id, index))
+
+    def _add_node(self, stage_name, position, digest, key, deps, claim):
+        """Index a new node claimed by ``claim``; ready it if every
+        dependency is already DONE."""
+        node = FleetNode(stage_name, position, digest, key)
+        node.creator = claim[0]
+        node.claims.append(claim)
+        self._nodes[key] = node
+        for dep_key in deps:
+            dep = self._nodes[dep_key]
+            if dep.state is not DONE:
+                node.missing += 1
+                dep.dependents.append(node)
+        if node.missing == 0:
+            self._push_node(node)
+        return node
 
     def _cut_off(self, job, index, planned, memo) -> None:
         """Early cutoff: resolve a memoized cell at admission.
@@ -504,50 +515,48 @@ class FleetScheduler:
 
     # -- ready heap ----------------------------------------------------------
 
-    def _entry_rank(self, entry) -> Tuple:
-        if entry[0] == "node":
-            node = self._nodes[entry[1]]
-            best = min(
-                (
-                    self._jobs[job_id].rank()
-                    for job_id, _ in node.claims
-                    if job_id in self._jobs
-                ),
-                default=(DEFAULT_PRIORITY, _NO_DEADLINE, 0),
-            )
-            return (*best, node.position)
-        job = self._jobs[entry[1]]
-        # Finals sort after every node of equal urgency.
-        return (*job.rank(), 1_000_000 + entry[2])
-
-    def _push(self, entry) -> None:
-        self._push_seq += 1
-        heapq.heappush(self._ready, (self._entry_rank(entry),
-                                     self._push_seq, entry))
-
     def _push_node(self, node: FleetNode, repush: bool = False) -> None:
         if not repush:
             node.state = READY
-        self._push(("node", node.key))
+        best = min(
+            (
+                self._jobs[job_id].rank()
+                for job_id, _ in node.claims
+                if job_id in self._jobs
+            ),
+            default=(DEFAULT_PRIORITY, _NO_DEADLINE, 0),
+        )
+        self._push_seq += 1
+        heapq.heappush(
+            self._ready, ((*best, node.position), self._push_seq, node.key)
+        )
 
-    def _pop(self) -> Optional[Tuple]:
-        """Next live ready entry; marks node entries RUNNING."""
+    def _next_task(self) -> Optional[Tuple[FleetNode, Tuple[str, int], Tuple]]:
+        """Pop the next READY node with a live claim and mark it
+        RUNNING: ``(node, claim, payload)``, or ``None`` once nothing is
+        ready.  A popped node every claimant abandoned leaves the index."""
         while self._ready:
-            _, _, entry = heapq.heappop(self._ready)
-            if entry[0] == "node":
-                node = self._nodes.get(entry[1])
-                if node is None or node.state is not READY:
-                    continue  # stale: released, running, or done
-                node.state = RUNNING
-                return entry
-            fkey = (entry[1], entry[2])
-            if fkey in self._dead_finals or entry[1] not in self._jobs:
+            _, _, key = heapq.heappop(self._ready)
+            node = self._nodes.get(key)
+            if node is None or node.state is not READY:
+                continue  # stale: released, running, or done
+            node.state = RUNNING
+            claim = self._live_claim(node)
+            if claim is None:
+                self._forget(node)
                 continue
-            job = self._jobs[entry[1]]
-            if entry[2] in job.results or entry[2] in job.errors:
-                continue
-            return entry
+            return node, claim, self._payload(node, claim)
         return None
+
+    def _forget(self, node: FleetNode) -> None:
+        """Take ``node`` out of the index (a later node with the same
+        key is left alone)."""
+        if node.state is not DONE:
+            node.state = RELEASED
+        if self._nodes.get(node.key) is node:
+            del self._nodes[node.key]
+        if not self._nodes:
+            self._ready.clear()  # every entry left names a released node
 
     # -- attribution ---------------------------------------------------------
 
@@ -580,82 +589,79 @@ class FleetScheduler:
 
     # -- task payloads -------------------------------------------------------
 
-    def _payload(self, entry, claim) -> Tuple:
+    def _payload(self, node: FleetNode, claim) -> Tuple:
         job = self._jobs[claim[0]]
         index = claim[1]
-        if entry[0] == "node":
-            node = self._nodes[entry[1]]
-            kind, stage_name, digest = "node", node.stage_name, node.digest
-            assess = None
-        else:
-            kind, stage_name, digest = "final", None, None
-            assess = job.assess
         resolution, orientation = job.grid[index]
         return (
             job.config,
             self._cache_root,
-            kind,
-            stage_name,
-            digest,
+            node.stage_name,
+            node.digest,
             resolution,
             orientation,
-            job.analyze_seam,
             job.model_ref,
             job.cell_digests[index],
             self.retry,
             self.cell_timeout_s,
-            assess,
+            job.assess if node.stage_name == FINALIZE_STAGE else None,
             job.cell_attempts.get(index, 1),
         )
 
     # -- absorption ----------------------------------------------------------
 
-    def _absorb(self, entry, claim, shipped) -> None:
-        """Fold one finished task back into the fleet (under the lock)."""
+    def _absorb(self, node: FleetNode, claim, shipped) -> None:
+        """Fold one finished task back into the fleet (under the lock).
+
+        Whatever the outcome, a node left with no live claim leaves the
+        index here: nobody is waiting on it any more."""
         result, error, delta, spans = shipped
-        if entry[0] == "node":
-            node = self._nodes.get(entry[1])
-            if node is None:
-                return  # released while running; result lives in cache
-            if error is not None:
-                self._node_failed(node, claim, error, delta, spans)
-            else:
-                self._node_done(node, claim, result, delta, spans)
+        if node.stage_name == FINALIZE_STAGE:
+            self._final_done(node, claim, result, error, delta, spans)
+        elif error is not None:
+            self._node_failed(node, claim, error, delta, spans)
         else:
-            job = self._jobs.get(entry[1])
-            if job is None:
-                return  # job cancelled while its finalize ran
-            index = entry[2]
-            self._route(job, delta, spans)
-            if error is not None:
-                job.errors[index] = replace(
-                    error,
-                    attempts=max(
-                        error.attempts, job.cell_attempts.get(index, 1)
-                    ),
-                )
-                self._release_cell(job, index)
-                if not self.keep_going:
-                    self._cancel_job_cells(job)
-            else:
-                fingerprint, assessment, attempts = result
-                memo_key = self._finalize_key(job, index)
-                if memo_key is not None:
-                    # Seed the memo (a disk cache persists it): a
-                    # later admission of this cell is cut off.  Errors
-                    # are never memoized.
-                    self.cache.derived_put(
-                        memo_key, (fingerprint, assessment)
-                    )
-                job.results[index] = SweepCellResult(
-                    resolution=job.grid[index][0].name,
-                    orientation=job.grid[index][1].value,
-                    fingerprint=fingerprint,
-                    assessment=assessment,
-                    stage_log=self._stage_log(job, index),
-                    attempts=max(attempts, job.cell_attempts.get(index, 1)),
-                )
-            self._maybe_complete(job)
+            self._node_done(node, claim, result, delta, spans)
+        if self._live_claim(node) is None:
+            self._forget(node)
+
+    def _final_done(self, node, claim, result, error, delta, spans) -> None:
+        """A cell's verdict (or its error) is taken only while the
+        cell's claim is live; taking it removes the claim, which
+        resolves the cell."""
+        node.state = DONE
+        claim = self._live_claim(node, claim)
+        if claim is None:
+            return  # cancelled or released while its finalize ran
+        job = self._jobs[claim[0]]
+        index = claim[1]
+        self._route(job, delta, spans)
+        if error is not None:
+            job.errors[index] = replace(
+                error,
+                attempts=max(error.attempts, job.cell_attempts.get(index, 1)),
+            )
+            self._release_cell(job, index)
+            if not self.keep_going:
+                self._cancel_job_cells(job)
+        else:
+            fingerprint, assessment, attempts = result
+            memo_key = self._finalize_key(job, index)
+            if memo_key is not None:
+                # Seed the memo (a disk cache persists it): a later
+                # admission of this cell is cut off.  Errors are never
+                # memoized.
+                self.cache.derived_put(memo_key, (fingerprint, assessment))
+            job.results[index] = SweepCellResult(
+                resolution=job.grid[index][0].name,
+                orientation=job.grid[index][1].value,
+                fingerprint=fingerprint,
+                assessment=assessment,
+                stage_log=self._stage_log(job, index),
+                attempts=max(attempts, job.cell_attempts.get(index, 1)),
+            )
+            node.claims.remove(claim)
+        self._maybe_complete(job)
 
     def _node_done(self, node, claim, record, delta, spans) -> None:
         attributed = self._live_claim(node, claim)
@@ -681,35 +687,19 @@ class FleetScheduler:
                 self._jobs[job_id].counters.fanout_results += 1
             self.fanout_results += len(receivers)
             self._inc("fleet.fanout_results", len(receivers))
-        for entry in node.dependents:
-            self._dependency_met(entry)
+        for dependent in node.dependents:
+            if dependent.state is PENDING:
+                dependent.missing -= 1
+                if dependent.missing == 0:
+                    self._push_node(dependent)
         node.dependents = []
-
-    def _dependency_met(self, entry) -> None:
-        if entry[0] == "node":
-            dep = self._nodes.get(entry[1])
-            if dep is None or dep.state is not PENDING:
-                return
-            dep.missing -= 1
-            if dep.missing == 0:
-                self._push_node(dep)
-        else:
-            fkey = (entry[1], entry[2])
-            if fkey in self._dead_finals or fkey not in self._final_missing:
-                return
-            self._final_missing[fkey] -= 1
-            if self._final_missing[fkey] == 0 and entry[1] in self._jobs:
-                self._push(("final", entry[1], entry[2]))
 
     def _node_failed(self, node, claim, error, delta, spans) -> None:
         """Failure splitting: charge the attributed claim's cell only;
         the node re-queues for any surviving claims."""
         victim = self._live_claim(node, claim)
         if victim is None:
-            # Everyone cancelled meanwhile; drop the node quietly.
-            node.state = RELEASED
-            self._nodes.pop(node.key, None)
-            return
+            return  # everyone cancelled meanwhile
         job = self._jobs[victim[0]]
         index = victim[1]
         resolution, orientation = job.grid[index]
@@ -729,38 +719,34 @@ class FleetScheduler:
             # Surviving claims still need the node; its fault budget
             # was spent on the victim's attempt, so re-queue it.
             self._push_node(node)
-        else:
-            node.state = RELEASED
-            self._nodes.pop(node.key, None)
         if not self.keep_going:
             self._cancel_job_cells(job)
         self._maybe_complete(job)
 
-    def _release_cell(self, job, index, count_cancelled=False) -> int:
-        """Drop one cell's claims; release nodes nobody wants anymore.
-
-        Returns the number of unexecuted nodes released.
-        """
-        self._dead_finals.add((job.job_id, index))
+    def _release_cell(self, job, index, count_cancelled=False) -> None:
+        """Take one cell's claim off its nodes; a node left with no
+        claim leaves the index, unless it is running (then it leaves
+        when its result is absorbed)."""
         released = 0
         claim = (job.job_id, index)
         for node in job.cell_nodes.get(index, {}).values():
             while claim in node.claims:
                 node.claims.remove(claim)
-            if not node.claims and node.state in (PENDING, READY):
-                node.state = RELEASED
-                self._nodes.pop(node.key, None)
+            if node.claims or node.state is RUNNING:
+                continue
+            if node.state in (PENDING, READY) \
+                    and node.stage_name != FINALIZE_STAGE:
                 released += 1
+            self._forget(node)
         if count_cancelled and released:
             job.counters.cancelled_nodes += released
             self.cancelled_nodes += released
             self._inc("fleet.cancelled_nodes", released)
-        return released
 
-    def _cancel_job_cells(self, job) -> None:
-        for index in range(len(job.grid)):
+    def _cancel_job_cells(self, job, count_cancelled=False) -> None:
+        for index in job.cell_nodes:
             if index not in job.results and index not in job.errors:
-                self._release_cell(job, index)
+                self._release_cell(job, index, count_cancelled)
 
     # -- per-job views -------------------------------------------------------
 
@@ -785,14 +771,13 @@ class FleetScheduler:
     def _maybe_complete(self, job) -> None:
         if job.job_id not in self._jobs:
             return
-        # A cell released by a keep_going=False abort is resolved too:
-        # it will never produce a result or an error.
-        unresolved = [
-            i for i in range(len(job.grid))
-            if i not in job.results and i not in job.errors
-            and (job.job_id, i) not in self._dead_finals
-        ]
-        if unresolved:
+        # A cell is resolved once its claim has left its finalize node:
+        # a verdict was taken, an error charged, or (keep_going=False)
+        # the cell was released and will never produce either.
+        if any(
+            (job.job_id, index) in nodes[FINALIZE_STAGE].claims
+            for index, nodes in job.cell_nodes.items()
+        ):
             return
         job.report = SweepReport(
             cells=[job.results[i] for i in sorted(job.results)],
@@ -828,15 +813,8 @@ class FleetScheduler:
         self._retire(job)
 
     def _retire(self, job) -> None:
-        for index in range(len(job.grid)):
-            claim = (job.job_id, index)
-            self._dead_finals.discard(claim)
-            self._final_missing.pop(claim, None)
-            for node in job.cell_nodes.get(index, {}).values():
-                while claim in node.claims:
-                    node.claims.remove(claim)
-                if not node.claims and node.state is not RUNNING:
-                    self._nodes.pop(node.key, None)
+        for index in job.cell_nodes:
+            self._release_cell(job, index)
         del self._jobs[job.job_id]
         self._completed.append(job)
 
@@ -846,9 +824,10 @@ class FleetScheduler:
         """Cancel an admitted job (thread-safe).
 
         Queued nodes referenced by no other job are released and
-        counted as ``cancelled_nodes``; RUNNING and shared nodes
-        survive untouched, so the surviving jobs' results are not
-        perturbed.  The job's completion callback fires (from the
+        counted as ``cancelled_nodes``; shared nodes survive untouched,
+        so the surviving jobs' results are not perturbed, and a RUNNING
+        node nobody claims any more leaves the index when its result
+        comes back.  The job's completion callback fires (from the
         driving thread, or here if idle) with ``job.cancelled`` set and
         no report.  Returns False when the fleet does not know the job
         (never admitted, or already completed).
@@ -858,19 +837,16 @@ class FleetScheduler:
             if job is None:
                 return False
             job.cancelled = True
-            for index in range(len(job.grid)):
-                if index not in job.results and index not in job.errors:
-                    self._release_cell(job, index, count_cancelled=True)
+            self._cancel_job_cells(job, count_cancelled=True)
             self._retire(job)
         self._fire_callbacks()
         return True
 
-    def abort_all(self, reason: str) -> None:
+    def abort_all(self) -> None:
         """Fail every active job (service shutdown path)."""
         with self._lock:
             for job in list(self._jobs.values()):
                 job.cancelled = True
-                self._cancel_job_cells(job)
                 self._retire(job)
         self._fire_callbacks()
 
@@ -890,9 +866,9 @@ class FleetScheduler:
     def step(self, timeout: float = 0.1) -> bool:
         """Advance the fleet a little; returns True on any progress.
 
-        Inline mode executes exactly one ready entry (so the driving
+        Inline mode executes exactly one ready node (so the driving
         loop stays responsive to admissions and cancellations between
-        nodes); pool mode submits every ready entry and waits up to
+        nodes); pool mode submits every ready node and waits up to
         ``timeout`` for completions.
         """
         progressed = self._advance(timeout)
@@ -928,14 +904,10 @@ class FleetScheduler:
 
     def _step_inline(self) -> bool:
         with self._lock:
-            entry = self._pop()
-            if entry is None:
-                return False
-            claim = self._claim_for(entry)
-            if claim is None:
-                self._drop_unclaimed(entry)
-                return True
-            payload = self._payload(entry, claim)
+            task = self._next_task()
+        if task is None:
+            return False
+        node, claim, payload = task
         # The task installs its own tracer; preserve whatever tracer
         # the embedding process had installed.
         prev = obs.get_tracer()
@@ -945,51 +917,32 @@ class FleetScheduler:
             if prev is not None and obs.get_tracer() is not prev:
                 obs.install(prev)
         with self._lock:
-            self._absorb(entry, claim, shipped)
+            self._absorb(node, claim, shipped)
         return True
-
-    def _claim_for(self, entry):
-        if entry[0] == "node":
-            return self._live_claim(self._nodes[entry[1]])
-        return (entry[1], entry[2])
-
-    def _drop_unclaimed(self, entry) -> None:
-        """A popped node every claimant abandoned: release it."""
-        if entry[0] == "node":
-            node = self._nodes.get(entry[1])
-            if node is not None:
-                node.state = RELEASED
-                self._nodes.pop(node.key, None)
 
     # -- pool execution ------------------------------------------------------
 
     def _step_pool(self, timeout: float) -> bool:
-        progressed = False
         try:
             pool = self._pool_handle.get()
             while True:
                 with self._lock:
-                    entry = self._pop()
-                    if entry is None:
-                        break
-                    claim = self._claim_for(entry)
-                    if claim is None:
-                        self._drop_unclaimed(entry)
-                        progressed = True
-                        continue
-                    payload = self._payload(entry, claim)
+                    task = self._next_task()
+                if task is None:
+                    break
+                node, claim, payload = task
                 try:
                     future = pool.submit(_run_node_task, payload)
                 except BrokenProcessPool:
                     with self._lock:
-                        self._requeue(entry)
+                        self._requeue(node)
                     raise
                 size = len(pickle.dumps(
                     payload, protocol=pickle.HIGHEST_PROTOCOL
                 ))
-                self._inflight[future] = (entry, claim, size)
+                self._inflight[future] = (node, claim, size)
             if not self._inflight:
-                return progressed
+                return False
             done, _ = wait(
                 list(self._inflight),
                 timeout=timeout,
@@ -997,15 +950,14 @@ class FleetScheduler:
             )
             for future in done:
                 # Read the result first: a dead worker raises here, and
-                # the entry must still be in flight so the broken-pool
+                # the node must still be in flight so the broken-pool
                 # handler requeues it.
                 shipped = future.result()
-                entry, claim, size = self._inflight.pop(future)
+                node, claim, size = self._inflight.pop(future)
                 with self._lock:
                     self._record_transport(claim, size, shipped)
-                    self._absorb(entry, claim, shipped)
-                progressed = True
-            return progressed
+                    self._absorb(node, claim, shipped)
+            return bool(done)
         except BrokenProcessPool:
             self._handle_broken_pool()
             return True
@@ -1020,22 +972,20 @@ class FleetScheduler:
             job.model_ref[0] == "handle",
         )
 
-    def _requeue(self, entry) -> None:
-        if entry[0] == "node":
-            node = self._nodes.get(entry[1])
-            if node is not None and node.state is RUNNING:
-                self._push_node(node)
-        elif entry[1] in self._jobs:
-            # A final whose job completed (keep_going=False abort) or
-            # was cancelled while the task ran has no one to requeue for.
-            self._push(entry)
+    def _requeue(self, node: FleetNode) -> None:
+        """A lost task's node goes back to READY, or leaves the index
+        when no live claim is left to run it for."""
+        if self._live_claim(node) is None:
+            self._forget(node)
+        else:
+            self._push_node(node)
 
     def _handle_broken_pool(self) -> None:
         """Harvest what finished, requeue the lost tasks, and rebuild
-        the pool a bounded number of times before degrading to inline
-        execution."""
+        the pool up to :data:`MAX_POOL_REBUILDS` times before degrading
+        to inline execution."""
         self._rebuilds += 1
-        for future, (entry, claim, size) in list(self._inflight.items()):
+        for future, (node, claim, size) in list(self._inflight.items()):
             harvested = False
             if future.done() and not future.cancelled():
                 try:
@@ -1045,13 +995,13 @@ class FleetScheduler:
                 else:
                     with self._lock:
                         self._record_transport(claim, size, shipped)
-                        self._absorb(entry, claim, shipped)
+                        self._absorb(node, claim, shipped)
                     harvested = True
             if not harvested:
                 with self._lock:
-                    self._requeue(entry)
+                    self._requeue(node)
         self._inflight.clear()
-        if self._rebuilds > self.max_pool_rebuilds:
+        if self._rebuilds > MAX_POOL_REBUILDS:
             self._degraded = True
             if not self._owned_pool:
                 # A shared pool must come back healthy for its next

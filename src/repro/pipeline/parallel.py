@@ -50,7 +50,7 @@ from repro import observability as obs
 from repro.cad.resolution import StlResolution
 from repro.pipeline.chain import ProcessChain
 from repro.pipeline.disk import DiskStageCache
-from repro.pipeline.fleet import FleetJob, FleetScheduler
+from repro.pipeline.fleet import MAX_POOL_REBUILDS, FleetJob, FleetScheduler
 from repro.pipeline.report import (
     SweepAborted,
     SweepCellError,
@@ -67,10 +67,6 @@ from repro.pipeline.resilience import (
 )
 from repro.pipeline.scheduler import ChainConfig, WorkerPool
 from repro.printer.orientation import PrintOrientation
-
-#: Pool rebuilds attempted after worker deaths before degrading to
-#: serial execution of the remaining cells.
-MAX_POOL_REBUILDS = 2
 
 __all__ = [
     "MAX_POOL_REBUILDS",
@@ -123,9 +119,6 @@ class ParallelSweep:
         ``cache_dir`` (required): such cells are served from the
         verified finalize memo instead of recomputed, and their nodes
         are never planned into the fleet.
-    max_pool_rebuilds:
-        Worker-pool rebuilds after :class:`BrokenProcessPool` before
-        the remaining nodes degrade to serial in-process execution.
     pool:
         An external :class:`~repro.pipeline.scheduler.WorkerPool` to
         lease workers from instead of spawning a throwaway pool per
@@ -143,15 +136,12 @@ class ParallelSweep:
         cell_timeout_s: Optional[float] = None,
         keep_going: bool = True,
         resume: bool = False,
-        max_pool_rebuilds: int = MAX_POOL_REBUILDS,
         pool: Optional[WorkerPool] = None,
     ):
         if jobs < 1:
             raise PipelineConfigError("jobs must be >= 1")
         if cell_timeout_s is not None and cell_timeout_s <= 0:
             raise PipelineConfigError("cell_timeout_s must be positive or None")
-        if max_pool_rebuilds < 0:
-            raise PipelineConfigError("max_pool_rebuilds must be >= 0")
         if resume and cache_dir is None:
             raise PipelineConfigError("resume requires a cache_dir")
         self.chain = chain if chain is not None else ProcessChain()
@@ -162,7 +152,6 @@ class ParallelSweep:
         self.cell_timeout_s = cell_timeout_s
         self.keep_going = keep_going
         self.resume = resume
-        self.max_pool_rebuilds = max_pool_rebuilds
         self.pool = pool
 
     def run(
@@ -171,7 +160,6 @@ class ParallelSweep:
         resolutions: Sequence[StlResolution],
         orientations: Sequence[PrintOrientation],
         assess: Optional[Callable[[Any], Any]] = None,
-        analyze_seam: bool = True,
     ) -> SweepReport:
         """Run every (resolution x orientation) cell; results in grid order.
 
@@ -188,7 +176,7 @@ class ParallelSweep:
         with obs.span(
             "sweep.run", jobs=self.jobs, grid=len(grid), resume=self.resume
         ):
-            report = self._execute(model, grid, assess, analyze_seam)
+            report = self._execute(model, grid, assess)
             report.wall_s = time.perf_counter() - start
             obs.annotate(
                 cells_ok=len(report.cells),
@@ -203,7 +191,7 @@ class ParallelSweep:
 
     # -- execution -----------------------------------------------------------
 
-    def _execute(self, model, grid, assess, analyze_seam) -> SweepReport:
+    def _execute(self, model, grid, assess) -> SweepReport:
         """Run the grid as one fleet job on the sweep's cache."""
         tmp = None
         if self.cache_dir is not None:
@@ -219,14 +207,12 @@ class ParallelSweep:
             retry=self.retry,
             cell_timeout_s=self.cell_timeout_s,
             keep_going=self.keep_going,
-            max_pool_rebuilds=self.max_pool_rebuilds,
             pool=self.pool,
         )
         try:
             job = fleet.admit(FleetJob(
                 "sweep", model, grid, self.config,
                 assess=assess,
-                analyze_seam=analyze_seam,
                 resume=self.resume,
             ))
             counters = job.counters
@@ -236,8 +222,7 @@ class ParallelSweep:
                 cells=len(grid),
                 nodes=counters.total_scheduled,
             ):
-                while fleet.has_work():
-                    fleet.step()
+                fleet.run_until_idle()
                 obs.annotate(
                     scheduled=counters.total_scheduled,
                     deduped=counters.total_deduped,

@@ -42,7 +42,7 @@ from repro import faults
 from repro import observability as obs
 from repro.pipeline.cache import CacheStats, stats_delta
 from repro.pipeline.chain import ChainContext, ProcessChain
-from repro.pipeline.disk import DiskStageCache
+from repro.pipeline.disk import FINALIZE_STAGE, DiskStageCache
 from repro.pipeline.graph import run_stage
 from repro.pipeline.report import (
     cell_error_from_exception,
@@ -278,12 +278,10 @@ def run_task(
     (
         config,
         _cache_dir,
-        kind,
         stage_name,
         digest,
         resolution,
         orientation,
-        analyze_seam,
         model_ref,
         digests,
         retry,
@@ -306,18 +304,17 @@ def run_task(
                 model=_resolve_model(model_ref, cache),
                 resolution=resolution,
                 orientation=orientation,
-                analyze_seam=analyze_seam,
             )
             ctx.digests.update(digests)
-            if kind == "node":
-                result = execute_node(
-                    chain, cache, stage_name, digest, ctx, digests, cell,
-                    retry, timeout_s,
-                )
-            else:
+            if stage_name == FINALIZE_STAGE:
                 result = execute_finalize(
                     chain, cache, ctx, digests, cell, assess, retry,
                     timeout_s, attempts_hint,
+                )
+            else:
+                result = execute_node(
+                    chain, cache, stage_name, digest, ctx, digests, cell,
+                    retry, timeout_s,
                 )
         except Exception as exc:
             error = cell_error_from_exception(

@@ -95,9 +95,6 @@ class PrintJob:
         model: CadModel,
         resolution: StlResolution,
         orientation: PrintOrientation = PrintOrientation.XY,
-        analyze_seam: bool = True,
     ) -> PrintOutcome:
         """Manufacture ``model`` under the given process conditions."""
-        return self.chain.run(
-            model, resolution, orientation, analyze_seam=analyze_seam
-        )
+        return self.chain.run(model, resolution, orientation)

@@ -246,7 +246,7 @@ class ObfuscadeService:
         if self._thread is not None:
             self._thread.join(timeout=30)
             self._thread = None
-        self.fleet.abort_all("service stopping")
+        self.fleet.abort_all()
         self.fleet.shutdown()
         if self.pool is not None:
             self.pool.shutdown()

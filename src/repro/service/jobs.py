@@ -17,18 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Dict, Optional, Tuple
 
-from repro.cad.resolution import COARSE, FINE, custom_resolution
-from repro.printer.machines import DIMENSION_ELITE, OBJET30_PRO
-from repro.printer.orientation import PrintOrientation
-
-#: Named settings a request may ask for (the CLI's vocabulary).
-RESOLUTIONS = {
-    "coarse": COARSE,
-    "fine": FINE,
-    "custom": custom_resolution(),
-}
-ORIENTATIONS = {o.value: o for o in PrintOrientation}
-MACHINES = {"fdm": DIMENSION_ELITE, "polyjet": OBJET30_PRO}
+from repro.vocabulary import MACHINES, ORIENTATIONS, RESOLUTIONS
 
 
 class JobState(str, Enum):

@@ -296,9 +296,7 @@ class TestChaosSweep:
         faults.install(FaultPlan((
             FaultSpec("worker", "kill-worker", times=0),
         )))
-        report = ParallelSweep(
-            jobs=2, cache_dir=str(tmp_path / "cache"), max_pool_rebuilds=1
-        ).run(
+        report = ParallelSweep(jobs=2, cache_dir=str(tmp_path / "cache")).run(
             protected.model, GRID_RESOLUTIONS, GRID_ORIENTATIONS,
             assess=assess_print,
         )

@@ -28,6 +28,7 @@ from repro.pipeline import (
     ProcessChain,
     StageCache,
 )
+from repro.pipeline.fleet import RUNNING
 from repro.pipeline.scheduler import ChainConfig
 from repro.printer.orientation import PrintOrientation
 
@@ -226,6 +227,29 @@ class TestCancellation:
         assert _fingerprints(survivor) == _serial_fingerprints(
             protected, GRID_A, tmp_path / "baseline"
         )
+
+    def test_node_running_at_cancel_leaves_the_index(
+        self, protected, config, tmp_path
+    ):
+        """A node still running when its only job is cancelled leaves
+        the index once its result comes back: an idle fleet holds no
+        node at all."""
+        fleet = FleetScheduler(DiskStageCache(tmp_path / "cache"), jobs=2)
+        try:
+            fleet.admit(FleetJob("doomed", protected.model, [(COARSE, XY)],
+                                 config, assess=assess_print))
+            fleet.step(timeout=0)  # submits tessellate, the only ready node
+            running = [
+                key for key, node in fleet._nodes.items()
+                if node.state is RUNNING
+            ]
+            assert [key[0] for key in running] == ["tessellate"]
+            assert fleet.cancel("doomed") is True
+            _drive(fleet)
+            assert fleet._nodes == {}
+            assert fleet._ready == []
+        finally:
+            fleet.shutdown()
 
 
 class TestPriorities:
