@@ -26,7 +26,10 @@ other subsystems (ISSUE 9 + ISSUE 10 acceptance):
   cell, zero pool tasks, the same fingerprints;
 * ``check_run_artifacts.py`` must pass on EVERY completed job's
   manifest + trace (per-job accounting stays exact under the fleet);
-* the warm worker pool must survive every job without a rebuild.
+* the warm worker pool must survive every job without a rebuild;
+* the server must read more requests than it accepted connections
+  (``http.requests > http.connections``): each client thread keeps its
+  connection alive across calls.
 
 The manifest and trace of the identical job that executed the shared
 nodes are copied to stable names (``shared.manifest.json`` /
@@ -297,6 +300,15 @@ def main(argv=None) -> int:
         pool = metrics.get("pool")
         if args.jobs > 1 and (not pool or pool["rebuilds"] != 0):
             problems.append(f"warm pool unhealthy: {pool}")
+        # Each client thread keeps one connection for all its calls, so
+        # the server reads more requests than it accepts connections.
+        requests = counters.get("http.requests", 0)
+        connections = counters.get("http.connections", 0)
+        if requests <= connections:
+            problems.append(
+                f"{requests} HTTP requests over {connections} connections: "
+                f"the transport is not keeping connections alive"
+            )
 
         for view, tenant, doc in zip(identical_views, tenants,
                                      identical_docs):

@@ -2,10 +2,17 @@
 
 :class:`ServiceClient` wraps the ``/v1/`` HTTP surface of
 :mod:`repro.service.http` - submit, status, long-poll for results,
-cancel - over nothing but ``urllib``, matching the repo's no-framework
+cancel - over ``http.client`` alone, matching the repo's no-framework
 constraint.  The client and server share the typed wire shapes of
 :mod:`repro.service.schema`, so a response parses into the same
 :class:`~repro.service.schema.JobView` the server projected.
+
+Transport: each thread using a client keeps one persistent HTTP/1.1
+connection to the server and sends all its calls down it, so a call
+costs one round trip, not a connect plus a server thread spawn.  The
+server closes a connection it has kept idle too long (or when it
+stops); a call that then fails on a *reused* connection is resent
+once, at once, on a fresh one - the server never saw it.
 
 Failure semantics:
 
@@ -23,10 +30,11 @@ Failure semantics:
   The duplicate costs little, because the fleet shares its nodes with
   the first while both run and cuts it off at admission once the first
   has finished.
-* ``wait_result`` loops its long-poll client-side: the server clamps
-  one poll to its documented maximum
+* ``wait_result`` is one long-poll per result: the poll answers with
+  the same view a status call would, so no status call precedes it.
+  The server clamps one poll to its documented maximum
   (:data:`repro.service.http.MAX_WAIT_S`), so waiting longer is the
-  client's job.
+  client's job, and it loops.
 
 Example::
 
@@ -41,11 +49,13 @@ Example::
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
+import threading
 import time
-from typing import Any, Dict, List, Optional
-from urllib.error import HTTPError, URLError
-from urllib.request import Request, urlopen
+from typing import Any, Dict, List, Optional, Tuple
+from urllib.parse import urlsplit
 
 from repro.service.schema import (
     API_VERSION,
@@ -119,8 +129,48 @@ class ServiceClient:
         self.timeout_s = timeout_s
         self.max_retries = max_retries
         self.backoff_s = backoff_s
+        parts = urlsplit(self.base_url)
+        self._connection_class = (
+            http.client.HTTPSConnection if parts.scheme == "https"
+            else http.client.HTTPConnection
+        )
+        self._netloc = parts.netloc
+        self._prefix = f"{parts.path}/{API_VERSION}"
+        self._local = threading.local()  # .conn: this thread's connection
 
     # -- transport -----------------------------------------------------------
+
+    def _exchange(
+        self, method: str, target: str, data: Optional[bytes],
+        timeout: float,
+    ) -> Tuple[int, bytes]:
+        """One request/response on this thread's connection.
+
+        A connection the server has since closed fails on reuse; the
+        request is then resent once on a fresh connection.  A timeout
+        is not resent: the server was there, just slow.
+        """
+        headers = {
+            "Content-Type": "application/json",
+            "X-Tenant": self.tenant,
+        }
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = self._local.conn = self._connection_class(self._netloc)
+        reused = conn.sock is not None
+        while True:
+            conn.timeout = timeout
+            if conn.sock is not None:
+                conn.sock.settimeout(timeout)
+            try:
+                conn.request(method, target, body=data, headers=headers)
+                response = conn.getresponse()
+                return response.status, response.read()
+            except (OSError, http.client.HTTPException) as exc:
+                conn.close()
+                if not reused or isinstance(exc, socket.timeout):
+                    raise
+                reused = False
 
     def _request(
         self,
@@ -129,39 +179,33 @@ class ServiceClient:
         payload: Optional[Dict[str, Any]] = None,
         extra_timeout_s: float = 0.0,
     ) -> Dict[str, Any]:
-        url = f"{self.base_url}/{API_VERSION}{path}"
+        target = self._prefix + path
         data = json.dumps(payload).encode() if payload is not None else None
-        headers = {
-            "Content-Type": "application/json",
-            "X-Tenant": self.tenant,
-        }
         delay = self.backoff_s
         last: Optional[ServiceClientError] = None
         for attempt in range(1, self.max_retries + 1):
-            req = Request(url, data=data, headers=headers, method=method)
             try:
-                with urlopen(
-                    req, timeout=self.timeout_s + extra_timeout_s
-                ) as resp:
-                    return json.loads(resp.read() or b"{}")
-            except HTTPError as exc:
-                body = exc.read()
+                status, body = self._exchange(
+                    method, target, data, self.timeout_s + extra_timeout_s
+                )
+                if status < 400:
+                    return json.loads(body or b"{}")
+            except (OSError, http.client.HTTPException,
+                    json.JSONDecodeError) as exc:
+                last = ServiceClientError(0, ErrorEnvelope(
+                    code="transport",
+                    message=f"{type(exc).__name__}: {exc}",
+                ))
+            else:
                 try:
                     doc = json.loads(body or b"{}")
                 except json.JSONDecodeError:
                     doc = {"error": {"code": "unknown",
                                      "message": body.decode(errors="replace")}}
-                error = ServiceClientError(
-                    exc.code, ErrorEnvelope.from_dict(doc)
-                )
-                if exc.code < 500:
-                    raise error from None
+                error = ServiceClientError(status, ErrorEnvelope.from_dict(doc))
+                if status < 500:
+                    raise error
                 last = error  # 5xx: the server may come back
-            except (URLError, OSError, json.JSONDecodeError) as exc:
-                last = ServiceClientError(0, ErrorEnvelope(
-                    code="transport",
-                    message=f"{type(exc).__name__}: {exc}",
-                ))
             if attempt < self.max_retries:
                 time.sleep(delay)
                 delay = min(delay * 2, 10.0)
@@ -204,11 +248,12 @@ class ServiceClient:
         :class:`ServiceTimeout` if ``timeout_s`` elapses first.
         """
         deadline = time.monotonic() + timeout_s
-        view = self.status(job_id)
         while True:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
-                raise ServiceTimeout(job_id, timeout_s, view.state)
+                # Only now ask where the job stands, for the error.
+                state = self.status(job_id).state
+                raise ServiceTimeout(job_id, timeout_s, state)
             wait = max(0.0, min(poll_wait_s, remaining))
             view = JobView.from_dict(self._request(
                 "GET", f"/jobs/{job_id}/result?wait={wait:g}",

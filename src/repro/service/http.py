@@ -2,9 +2,29 @@
 
 No web framework - the container bakes in the scientific toolchain
 only, and a job API this small fits ``http.server`` comfortably.  A
-:class:`ThreadingHTTPServer` handles each request on its own thread;
+:class:`ThreadingHTTPServer` serves each connection on its own thread;
 every handler is a thin JSON shim over the service object, which does
 its own locking.
+
+Transport
+---------
+Connections are persistent: the handler speaks HTTP/1.1 keep-alive, so
+a client thread sends all its requests down one connection and the
+server spawns one thread per connection, not per request.  Responses
+go out with ``TCP_NODELAY``: the status line and headers leave in one
+send and the body in a second, and without it Nagle's algorithm holds
+the body back until the client's delayed ACK (about 40 ms a round
+trip).  A connection is closed
+
+* after a response to a request whose body was left on the wire - a
+  ``POST`` without a usable ``Content-Length`` or to an unknown route,
+  or any other request that carries a body - since its bytes would
+  otherwise be parsed as the next request;
+* once idle for :data:`IDLE_CLOSE_S`, longer than any long-poll;
+* by :meth:`ServiceServer.stop`, which shuts every open one down.
+
+``http.connections`` and ``http.requests`` in the service's metrics
+registry count accepted connections and the requests read from them.
 
 v1 API (ISSUE 10)
 -----------------
@@ -24,8 +44,8 @@ non-2xx response carries the one
     top-level ``joined`` flag, fixed at ``false`` in v1; **400**
     ``invalid_request`` (also for a non-integer or negative
     ``Content-Length``; no header means an empty body, i.e. all
-    defaults); **429** ``queue_full`` / ``tenant_quota`` with the
-    admission numbers in ``detail``.
+    defaults - both close the connection); **429** ``queue_full`` /
+    ``tenant_quota`` with the admission numbers in ``detail``.
 ``GET /v1/jobs/{id}``
     **200** JobView, **404** ``not_found``.
 ``GET /v1/jobs/{id}/result?wait=S``
@@ -48,9 +68,11 @@ Any other path, unversioned ones included, answers **404**
 from __future__ import annotations
 
 import json
+import socket
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Set, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from repro.service.jobs import JobRejected, JobValidationError
@@ -60,15 +82,46 @@ from repro.service.schema import API_VERSION, ErrorEnvelope, JobView
 #: the API: a larger ``wait`` is accepted but truncated to this.
 MAX_WAIT_S = 60.0
 
+#: A kept connection idle this long (no request begun) is closed.
+#: Longer than :data:`MAX_WAIT_S`, so a client that pauses between calls
+#: for as long as one long-poll lasts still finds its connection open.
+IDLE_CLOSE_S = MAX_WAIT_S + 30.0
+
 
 class _Handler(BaseHTTPRequestHandler):
-    """One request; ``self.server.service`` is the ObfuscadeService."""
+    """One connection; ``self.server.service`` is the ObfuscadeService."""
+
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+
+    def setup(self) -> None:
+        # Read here, not as a class attribute, so the module constant
+        # is the one knob (tests shorten it).
+        self.timeout = IDLE_CLOSE_S
+        super().setup()
+        self.server.service.metrics.inc("http.connections")
+
+    def parse_request(self) -> bool:
+        self.server.service.metrics.inc("http.requests")
+        if not super().parse_request():
+            return False
+        # Body bytes left on the wire would be parsed as the next
+        # request, so a request that may carry a body closes its
+        # connection after the response unless do_POST reads the body.
+        self._body_unread = (
+            self.command == "POST"
+            or "Transfer-Encoding" in self.headers
+            or self.headers.get("Content-Length", "0").strip() != "0"
+        )
+        return True
 
     def _send_json(self, code: int, payload: Any) -> None:
         body = json.dumps(payload).encode()
         self.send_response(code)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self._body_unread or self.close_connection:
+            self.send_header("Connection", "close")  # sets close_connection
         self.end_headers()
         self.wfile.write(body)
 
@@ -117,11 +170,11 @@ class _Handler(BaseHTTPRequestHandler):
             self._not_found()
             return
         service = self.server.service
-        declared = self.headers.get("Content-Length", "0").strip()
+        header = self.headers.get("Content-Length")
+        declared = (header or "0").strip()
         if not (declared.isascii() and declared.isdigit()):
             # The body cannot be delimited, so it is left unread and
             # the connection closes after the error.
-            self.close_connection = True
             self._send_error(400, ErrorEnvelope(
                 code="invalid_request",
                 message=f"Content-Length must be a non-negative integer "
@@ -130,6 +183,9 @@ class _Handler(BaseHTTPRequestHandler):
             return
         length = int(declared)
         raw = self.rfile.read(length) if length else b"{}"
+        # Without the header nothing delimits what follows, so the
+        # connection still closes after the response.
+        self._body_unread = header is None
         try:
             payload = json.loads(raw or b"{}")
         except json.JSONDecodeError as exc:
@@ -210,6 +266,46 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(200, JobView.from_job(job).to_dict())
 
 
+class _Server(ThreadingHTTPServer):
+    """``ThreadingHTTPServer`` that knows its open connections, so
+    :meth:`ServiceServer.stop` can shut them down."""
+
+    daemon_threads = True
+
+    def __init__(self, address, service):
+        super().__init__(address, _Handler)
+        self.service = service
+        self._open: Set[socket.socket] = set()
+        self._open_lock = threading.Lock()
+
+    def process_request(self, request, client_address):
+        with self._open_lock:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        with self._open_lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+    def handle_error(self, request, client_address):
+        # A connection cut under its handler (stop(), a client gone) is
+        # not an error worth a traceback; anything else still prints.
+        if not isinstance(sys.exc_info()[1], OSError):
+            super().handle_error(request, client_address)
+
+    def close_connections(self) -> None:
+        """Shut down every open connection; its handler's next read
+        sees end of stream and the thread ends, closing the socket."""
+        with self._open_lock:
+            open_now = list(self._open)
+        for request in open_now:
+            try:
+                request.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # already closed by its own handler
+
+
 class ServiceServer:
     """Owns the HTTP listener for one :class:`ObfuscadeService`.
 
@@ -219,9 +315,7 @@ class ServiceServer:
 
     def __init__(self, service, host: str = "127.0.0.1", port: int = 8035):
         self.service = service
-        self.httpd = ThreadingHTTPServer((host, port), _Handler)
-        self.httpd.daemon_threads = True
-        self.httpd.service = service
+        self.httpd = _Server((host, port), service)
         self._thread: Optional[threading.Thread] = None
 
     @property
@@ -247,8 +341,11 @@ class ServiceServer:
         self.httpd.serve_forever()
 
     def stop(self) -> None:
+        """Stop accepting, then close every kept connection, so no
+        client is served by a stopped service."""
         self.httpd.shutdown()
         self.httpd.server_close()
+        self.httpd.close_connections()
         if self._thread is not None:
             self._thread.join(timeout=10)
             self._thread = None

@@ -9,6 +9,7 @@ and unversioned paths answer with the ``not_found`` envelope.
 """
 
 import json
+import time
 import urllib.error
 import urllib.request
 
@@ -16,6 +17,7 @@ import pytest
 
 from repro.client import ServiceClient, ServiceClientError, ServiceTimeout
 from repro.service import ObfuscadeService, ServiceServer
+from repro.service import http as service_http
 from repro.service.schema import SubmitRequest
 
 PAYLOAD = {"seed": 7, "resolutions": ["coarse"], "orientations": ["x-y"]}
@@ -146,6 +148,44 @@ class TestErrorContract:
         client = ServiceClient(server.url)
         with pytest.raises(ValueError):
             client.submit(SubmitRequest(seed=7), seed=8)
+
+
+class TestKeepAlive:
+    def test_calls_from_one_client_share_one_connection(self, live):
+        _, server = live
+        client = ServiceClient(server.url)
+        first = client.metrics()["counters"]
+        client.healthz()
+        last = client.metrics()["counters"]
+        assert last["http.connections"] == first["http.connections"]
+        assert last["http.requests"] - first["http.requests"] == 2
+
+    def test_wait_result_is_one_long_poll(self, finished):
+        """No status call precedes the poll: waiting on a finished job
+        costs one request (the other counted one is ``metrics``)."""
+        client, job_id, _ = finished
+        before = client.metrics()["counters"]["http.requests"]
+        assert client.wait_result(job_id, timeout_s=5).state == "done"
+        after = client.metrics()["counters"]["http.requests"]
+        assert after - before == 2
+
+    def test_idle_closed_connection_is_resent_without_backoff(
+        self, live, monkeypatch
+    ):
+        """The server drops a connection kept idle past its limit; the
+        next call fails on it, is resent at once on a fresh connection
+        and succeeds well inside one backoff sleep."""
+        _, server = live
+        monkeypatch.setattr(service_http, "IDLE_CLOSE_S", 0.2)
+        client = ServiceClient(server.url, max_retries=2, backoff_s=5.0)
+        before = client.metrics()["counters"]
+        time.sleep(1.0)
+        monkeypatch.undo()
+        start = time.monotonic()
+        assert client.healthz()["status"] == "ok"
+        assert time.monotonic() - start < client.backoff_s
+        after = client.metrics()["counters"]
+        assert after["http.connections"] - before["http.connections"] == 1
 
 
 class TestUnversionedRoutes:

@@ -27,6 +27,7 @@ from urllib.request import Request, urlopen
 
 import pytest
 
+from repro.client import ServiceClient, ServiceClientError
 from repro.pipeline import WorkerPool
 from repro.service import (
     Job,
@@ -273,6 +274,44 @@ class TestAdmissionOverHttp:
         code, doc = _raw_post(admission.server.address, None)
         assert code == 202
         assert doc["spec"] == JobSpec().to_dict()
+
+    @pytest.mark.parametrize("request_line, status, answered", [
+        (b"POST /nope", b"404",
+         lambda doc: doc["error"]["code"] == "not_found"),
+        (b"GET /v1/healthz", b"200", lambda doc: doc["status"] == "ok"),
+    ], ids=["post-unknown-route", "get-with-body"])
+    def test_unread_body_closes_the_connection(self, admission, request_line,
+                                               status, answered):
+        """A body the server does not read must not be parsed as the
+        next request on a kept connection: the response closes it, and
+        the pipelined healthz behind the body is never answered."""
+        body = b'{"seed": 3}'
+        pipelined = (
+            b"%s HTTP/1.1\r\nHost: localhost\r\n"
+            b"Content-Length: %d\r\n\r\n%s"
+            b"GET /v1/healthz HTTP/1.1\r\nHost: localhost\r\n\r\n"
+            % (request_line, len(body), body)
+        )
+        with socket.create_connection(admission.server.address,
+                                      timeout=10) as sock:
+            sock.sendall(pipelined)
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        head, _, payload = reply.partition(b"\r\n\r\n")
+        assert head.split()[1] == status
+        assert b"connection: close" in head.lower()
+        assert answered(json.loads(payload))
+        assert reply.count(b"HTTP/1.1 ") == 1
+
+    def test_stop_closes_kept_connections(self, admission):
+        client = ServiceClient(admission.url, max_retries=2, backoff_s=0.01)
+        assert client.healthz()["status"] == "ok"
+        admission.server.stop()
+        with pytest.raises(ServiceClientError) as info:
+            client.healthz()
+        assert info.value.status == 0
+        assert info.value.envelope.code == "transport"
 
     def test_unknown_routes_404(self, admission):
         assert _http("GET", admission.url + "/v1/jobs/job-99999")[0] == 404
